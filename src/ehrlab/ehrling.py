@@ -32,18 +32,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NonInjectiveError, ToleranceError, UnsupportedNormError
-from .operators import LinearOperator, apply_batch, as_matrix
+from .operators import LinearOperator, as_matrix
 from .optimize import (
     NormHandle,
     OptimizerSettings,
     SamplerSettings,
     ball_points,
     bisect_modulus,
-    composed_handle,
     maximize_direction,
     norm_handle,
+    operator_handle,
+    ratio_objective,
 )
-from .spaces import DualFamily, Element, NormSpec, norm_batch
+from .spaces import DualFamily, Element, NormSpec
 
 __all__ = [
     "OptimizerSettings",
@@ -180,15 +181,9 @@ def _norm_cap(norm_x: NormSpec | None, norm1: NormHandle, dim: int,
     if norm_x is None:
         return 1.0
 
-    def ratio(V):
-        n1 = norm1.hi(V)
-        nx = norm_batch(norm_x, V)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(n1 > 0.0, nx / n1, 0.0)
-        return np.where(np.isfinite(r), r, 0.0)
-
+    f, fg = ratio_objective(norm_handle(norm_x), norm1)
     light = replace(opt, iterations=20, polish_rounds=10)
-    val, _ = maximize_direction(ratio, dim, light)
+    val, _ = maximize_direction(f, dim, light, value_and_grad=fg)
     return 2.0 * max(val, 1.0)
 
 
@@ -201,21 +196,48 @@ def _handles(T: LinearOperator, norm1, norm2, dim: int, opt: OptimizerSettings):
         fam_space = norm2.family.space
     cap = _norm_cap(fam_space, h1, dim, opt) if fam_space is not None else 1.0
     h2 = norm_handle(norm2, enclosure_tol=opt.enclosure_tol, norm_cap=cap)
-    ynorm = norm_handle(T.codomain)
-
-    def apply_y(V):
-        return ynorm.hi(apply_batch(T, V))
-
-    return h1, h2, apply_y
+    return h1, h2, operator_handle((T,), T.codomain)
 
 
-def _residual_arrays(apply_y, h1: NormHandle, h2: NormHandle, eps: float,
-                     C: float, U: np.ndarray):
-    y = apply_y(U)
-    n1 = h1.hi(U)
-    pass_res = y - eps * n1 - C * h2.lo(U)
-    fail_res = y - eps * n1 - C * h2.hi(U)
-    return pass_res, fail_res
+def _sample(hy: NormHandle, h1: NormHandle, h2: NormHandle, pts: np.ndarray):
+    """A verification sample with its (hy, h1, h2 lo, h2 hi) values.
+
+    None of them depends on (eps, C), so every verification of the same
+    sample reuses them instead of re-evaluating all of its points.
+    """
+    lo, hi = h2.bounds(pts)
+    return pts, hy.hi(pts), h1.hi(pts), lo, hi
+
+
+def _unit(h1: NormHandle, V: np.ndarray) -> np.ndarray:
+    """The rows of V scaled onto the h1 unit sphere (zero rows left alone)."""
+    n1 = h1.hi(V)
+    return V / np.where(n1 > 0.0, n1, 1.0)[:, None]
+
+
+def _unit_grad(h1: NormHandle, V: np.ndarray):
+    """_unit(h1, V), plus the chain rule taking a gradient at W back to V.
+
+    For W = V / s(V): grad_V phi(W) = (grad phi - <grad phi, W> grad s) / s.
+    """
+    n1, g1 = h1.hi_grad(V)
+    s = np.where(n1 > 0.0, n1, 1.0)[:, None]
+    W = V / s
+    return W, lambda Gw: (Gw - (Gw * W).sum(axis=1)[:, None] * g1) / s
+
+
+def _quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, with +-inf where den vanishes and -inf in place of NaN."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(den > 0.0, num / den, np.where(num > 0.0, np.inf, -np.inf))
+    return np.where(np.isnan(r), -np.inf, r)
+
+
+def _quotient_grad(r: np.ndarray, gnum: np.ndarray, den: np.ndarray,
+                   gden: np.ndarray) -> np.ndarray:
+    """Gradient of r = num / den; rows with den = 0 come out non-finite."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (gnum - r[:, None] * gden) / den[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +255,8 @@ def modulus_delta(T: LinearOperator, norm1, norm2, eps: float,
     the upper search bound itself is returned.
     """
     dim = _operator_dim(T, opt)
-    h1, h2, apply_y = _handles(T, norm1, norm2, dim, opt)
-    delta, _ = bisect_modulus(apply_y, h1, h2, eps, dim, opt)
+    h1, h2, hy = _handles(T, norm1, norm2, dim, opt)
+    delta, _ = bisect_modulus(hy, h1, h2, eps, dim, opt)
     return float(delta)
 
 
@@ -247,31 +269,42 @@ def certificate_from_modulus(eps: float, delta: float) -> CertificateRow:
                           residual=float("nan"))
 
 
-def _attack_residual(apply_y, h1, h2, eps, C, dim, opt, extra=None):
-    """Ascent on the PASS residual over the norm1 unit sphere."""
+def _attack_residual(hy, h1, h2, eps, C, dim, opt, extra=None):
+    """Ascent on the PASS residual hy - eps*h1 - C*h2.lo over the h1 unit sphere."""
 
     def f(V):
-        n1 = h1.hi(V)
-        n1 = np.where(n1 > 0.0, n1, 1.0)
-        W = V / n1[:, None]
-        return apply_y(W) - eps - C * h2.lo(W)
+        W = _unit(h1, V)
+        return hy.hi(W) - eps - C * h2.lo(W)
 
-    val, v = maximize_direction(f, dim, opt, extra_starts=extra)
+    def fg(V):
+        W, back = _unit_grad(h1, V)
+        (y, gy), (n2, g2) = hy.hi_grad(W), h2.lo_grad(W)
+        return y - eps - C * n2, back(gy - C * g2)
+
+    val, v = maximize_direction(f, dim, opt, extra_starts=extra, value_and_grad=fg)
     n1 = float(h1.hi(v[None, :])[0])
     return val, v / n1 if n1 > 0.0 else v
 
 
-def _verify_points(apply_y, h1, h2, eps, C, pts, witnesses):
+def _verify_points(hy, h1, h2, eps, C, sample, witnesses):
+    """PASS and FAIL residuals on the sample followed by the witnesses.
+
+    Returns (pass residuals, fail residuals, point), where point(k) is the
+    k-th point in that order.
+    """
+    pts, y, n1, lo, hi = sample
+    W = None
     if witnesses:
         W = np.vstack([np.atleast_2d(w) for w in witnesses])
         if W.shape[1] < pts.shape[1]:
             W = np.pad(W, ((0, 0), (0, pts.shape[1] - W.shape[1])))
-        elif W.shape[1] > pts.shape[1]:
-            pts = np.pad(pts, ((0, 0), (0, W.shape[1] - pts.shape[1])))
-        pts = np.vstack([pts, W])
-    pass_res, fail_res = _residual_arrays(apply_y, h1, h2, eps, C, pts)
-    k = int(np.argmax(pass_res))
-    return pts, float(pass_res[k]), float(fail_res.max()), pts[k]
+        _, wy, wn1, wlo, whi = _sample(hy, h1, h2, W)
+        y, n1, lo, hi = (np.concatenate(pair) for pair in
+                         ((y, wy), (n1, wn1), (lo, wlo), (hi, whi)))
+    pass_res = y - eps * n1 - C * lo
+    fail_res = y - eps * n1 - C * hi
+    n = pts.shape[0]
+    return pass_res, fail_res, lambda k: pts[k] if k < n else W[k - n]
 
 
 def verify_certificate(T: LinearOperator, norm1, norm2, eps: float, C: float,
@@ -286,17 +319,18 @@ def verify_certificate(T: LinearOperator, norm1, norm2, eps: float, C: float,
     positive somewhere, which proves a genuine violation.
     """
     dim = _operator_dim(T, opt)
-    h1, h2, apply_y = _handles(T, norm1, norm2, dim, opt)
-    pts = ball_points(sampler, dim, h1)
-    pts, max_pass, max_fail, worst = _verify_points(
-        apply_y, h1, h2, eps, C, pts, list(witnesses))
+    h1, h2, hy = _handles(T, norm1, norm2, dim, opt)
+    sample = _sample(hy, h1, h2, ball_points(sampler, dim, h1))
+    pass_res, fail_res, point = _verify_points(
+        hy, h1, h2, eps, C, sample, list(witnesses))
+    k = int(np.argmax(pass_res))
+    max_pass, worst = float(pass_res[k]), point(k)
     witness = None
-    if max_fail > 0.0:
-        pass_res, fail_res = _residual_arrays(apply_y, h1, h2, eps, C, pts)
+    if fail_res.max() > 0.0:
         k = int(np.argmax(fail_res))
-        u = pts[k]
+        u = point(k)
         denom = float(h2.hi(u[None, :])[0])
-        num = float(apply_y(u[None, :])[0] - eps * h1.hi(u[None, :])[0])
+        num = float(hy.hi(u[None, :])[0] - eps * h1.hi(u[None, :])[0])
         witness = Witness(
             u=Element(u), eps=eps,
             lower_bound_on_C=num / denom if denom > 0.0 else float("inf"),
@@ -306,32 +340,31 @@ def verify_certificate(T: LinearOperator, norm1, norm2, eps: float, C: float,
     return VerificationReport(
         passed=max_pass <= 0.0,
         max_residual=max_pass,
-        n_points=int(pts.shape[0]),
+        n_points=int(pass_res.size),
         worst=Element(worst),
         witness=witness,
     )
 
 
-def _certify_rows(apply_y, h1, h2, eps_grid, dim, opt, sampler):
+def _certify_rows(hy, h1, h2, eps_grid, dim, opt, sampler):
     """Bisect, harden, and verify one row per eps; then enforce monotonicity."""
     if not len(tuple(eps_grid)):
         raise ToleranceError("eps grid must contain at least one value")
-    pts = ball_points(sampler, dim, h1)
+    sample = _sample(hy, h1, h2, ball_points(sampler, dim, h1))
     rows = []
     pools = []
     eps_sorted = sorted({float(e) for e in eps_grid}, reverse=True)
     for eps in eps_sorted:
-        delta, info = bisect_modulus(apply_y, h1, h2, eps, dim, opt)
+        delta, info = bisect_modulus(hy, h1, h2, eps, dim, opt)
         pool = info["witnesses"]
         C = eps / delta
         # hardening: shrink delta until the residual attack comes back empty
         for _ in range(opt.harden_rounds):
             warm = np.vstack([np.atleast_2d(w) for w in pool]) if pool else None
             attack_val, attacker = _attack_residual(
-                apply_y, h1, h2, eps, C, dim, opt, extra=warm)
+                hy, h1, h2, eps, C, dim, opt, extra=warm)
             pool.append(attacker)
-            _, max_pass, _, _ = _verify_points(
-                apply_y, h1, h2, eps, C, pts, pool)
+            max_pass = _verify_points(hy, h1, h2, eps, C, sample, pool)[0].max()
             if max(attack_val, max_pass) <= 0.0:
                 break
             delta *= 0.8
@@ -350,9 +383,8 @@ def _certify_rows(apply_y, h1, h2, eps_grid, dim, opt, sampler):
     out = []
     all_pool = [w for pool in pools for w in pool]
     for r in rows:
-        _, max_pass, _, _ = _verify_points(
-            apply_y, h1, h2, r.eps, r.C, pts, all_pool)
-        out.append(replace(r, residual=max_pass))
+        max_pass = _verify_points(hy, h1, h2, r.eps, r.C, sample, all_pool)[0].max()
+        out.append(replace(r, residual=float(max_pass)))
     return out
 
 
@@ -361,8 +393,8 @@ def certify(T: LinearOperator, norm1, norm2, eps_grid=DEFAULT_EPS_GRID,
             sampler: SamplerSettings = SamplerSettings()) -> EhrlingCertificate:
     """Constructive certificate table over an eps grid (descending)."""
     dim = _operator_dim(T, opt)
-    h1, h2, apply_y = _handles(T, norm1, norm2, dim, opt)
-    rows = _certify_rows(apply_y, h1, h2, eps_grid, dim, opt, sampler)
+    h1, h2, hy = _handles(T, norm1, norm2, dim, opt)
+    rows = _certify_rows(hy, h1, h2, eps_grid, dim, opt, sampler)
     return EhrlingCertificate(
         rows=rows, operator_label=T.label,
         norm1_label=h1.label, norm2_label=h2.label,
@@ -374,28 +406,27 @@ def optimal_constant(T: LinearOperator, norm1, norm2, eps: float,
     """Estimate of the sharp constant sup (||Tu||_Y - eps*norm1(u)) / norm2(u).
 
     Multi-start ascent plus the coordinate-axis scan; clamped below at 0.
-    Points where the norm2 lower bound vanishes while the numerator stays
-    positive would make the ratio unbounded; they are excluded and flagged
-    (only reachable in dense mode at loose enclosure tolerances).
+    A point where the norm2 lower bound vanishes while the numerator stays
+    positive makes the ratio unbounded (reachable in dense mode, where the
+    enclosure's leading terms can miss a direction): the estimate is then
+    inf, flagged approximate, so it still dominates every witness bound.
     """
     dim = _operator_dim(T, opt)
-    h1, h2, apply_y = _handles(T, norm1, norm2, dim, opt)
+    h1, h2, hy = _handles(T, norm1, norm2, dim, opt)
 
     def f(V):
-        y = apply_y(V)
+        y = hy.hi(V)
         n1 = h1.hi(V)
-        n2 = h2.lo(V)
-        num = y - eps * n1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(n2 > 0.0, num / n2, np.where(num > 0.0, np.inf, -np.inf))
-        return np.where(np.isnan(r), -np.inf, r)
+        return _quotient(y - eps * n1, h2.lo(V))
 
-    val, v = maximize_direction(f, dim, opt)
-    approximate = not math.isfinite(val)
-    if approximate:
-        val = 0.0
-    return OptimalConstantResult(value=max(0.0, float(val)),
-                                 witness=Element(v), approximate=approximate)
+    def fg(V):
+        (y, gy), (n1, g1), (n2, g2) = hy.hi_grad(V), h1.hi_grad(V), h2.lo_grad(V)
+        r = _quotient(y - eps * n1, n2)
+        return r, _quotient_grad(r, gy - eps * g1, n2, g2)
+
+    val, v = maximize_direction(f, dim, opt, value_and_grad=fg)
+    return OptimalConstantResult(value=max(0.0, float(val)), witness=Element(v),
+                                 approximate=not math.isfinite(val))
 
 
 def falsify(T: LinearOperator, norm1, fam: DualFamily, eps: float, c_max: float,
@@ -409,13 +440,10 @@ def falsify(T: LinearOperator, norm1, fam: DualFamily, eps: float, c_max: float,
     if c_max <= 0.0:
         raise ToleranceError(f"c_max must be positive, got {c_max}")
     dim = _operator_dim(T, opt)
-    h1, h2, apply_y = _handles(T, norm1, fam, dim, opt)
+    h1, h2, hy = _handles(T, norm1, fam, dim, opt)
 
-    E = np.eye(dim)
-    n1 = h1.hi(E)
-    n1 = np.where(n1 > 0.0, n1, 1.0)
-    B = E / n1[:, None]
-    num = apply_y(B) - eps * h1.hi(B)
+    B = _unit(h1, np.eye(dim))
+    num = hy.hi(B) - eps * h1.hi(B)
     den = h2.hi(B)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(den > 0.0, num / den, np.where(num > 0.0, np.inf, 0.0))
@@ -429,20 +457,20 @@ def falsify(T: LinearOperator, norm1, fam: DualFamily, eps: float, c_max: float,
             )
 
     def f(V):
-        nv = h1.hi(V)
-        nv = np.where(nv > 0.0, nv, 1.0)
-        W = V / nv[:, None]
-        y = apply_y(W) - eps
-        d2 = h2.hi(W)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(d2 > 0.0, y / d2, np.where(y > 0.0, np.inf, -np.inf))
-        return np.where(np.isnan(r), -np.inf, r)
+        W = _unit(h1, V)
+        return _quotient(hy.hi(W) - eps, h2.hi(W))
 
-    val, v = maximize_direction(f, dim, opt)
+    def fg(V):
+        W, back = _unit_grad(h1, V)
+        (y, gy), (d2, g2) = hy.hi_grad(W), h2.hi_grad(W)
+        r = _quotient(y - eps, d2)
+        return r, back(_quotient_grad(r, gy, d2, g2))
+
+    val, v = maximize_direction(f, dim, opt, value_and_grad=fg)
     if math.isfinite(val) and val > c_max:
         n1v = float(h1.hi(v[None, :])[0])
         u = v / n1v if n1v > 0.0 else v
-        num_u = float(apply_y(u[None, :])[0] - eps * h1.hi(u[None, :])[0])
+        num_u = float(hy.hi(u[None, :])[0] - eps * h1.hi(u[None, :])[0])
         den_u = float(h2.hi(u[None, :])[0])
         return Witness(
             u=Element(u), eps=eps, lower_bound_on_C=num_u / den_u,
@@ -488,45 +516,24 @@ def reverse_certificate(T: LinearOperator, fam: DualFamily, eps: float,
         )
 
     hX = norm_handle(T.domain)
-    cap = 1.0  # family space norm over the norm_X ball; refined below
     famh = norm_handle(fam, enclosure_tol=opt.enclosure_tol,
                        norm_cap=_norm_cap(fam.space, hX, dim, opt))
-    ynorm = norm_handle(T.codomain)
-
-    def apply_y_rev(V):
-        # roles exchanged: the "operator value" is the very weak norm upper
-        # bound and the constraint norm is ||Tu||_Y
-        return famh.hi(V)
-
-    class _YHandle(NormHandle):
-        label = ynorm.label
-
-        def lo(self, U):
-            return ynorm.hi(apply_batch(T, U))
-
-        hi = lo
-
-    yh = _YHandle()
-    delta, info = bisect_modulus(apply_y_rev, hX, yh, eps, dim, opt)
+    # roles exchanged: the objective is the very weak norm upper bound and the
+    # constraint norm is ||Tu||_Y
+    yh = operator_handle((T,), T.codomain)
+    delta, info = bisect_modulus(famh, hX, yh, eps, dim, opt)
     C = eps / delta
 
     # verification with exchanged roles: residual = |u|_hi - eps*||u||_X - C*||Tu||
-    pts = ball_points(sampler, dim, hX)
+    sample = _sample(famh, hX, yh, ball_points(sampler, dim, hX))
     for _ in range(opt.harden_rounds):
-        def attack(V):
-            nx = hX.hi(V)
-            nx = np.where(nx > 0.0, nx, 1.0)
-            W = V / nx[:, None]
-            return famh.hi(W) - eps - C * yh.lo(W)
-
-        aval, av = maximize_direction(attack, dim, opt)
-        res = famh.hi(pts) - eps * hX.hi(pts) - C * yh.lo(pts)
-        worst = float(res.max())
+        aval, _ = _attack_residual(famh, hX, yh, eps, C, dim, opt)
+        worst = _verify_points(famh, hX, yh, eps, C, sample, ())[0].max()
         if max(aval, worst) <= 0.0:
             break
         delta *= 0.8
         C = eps / delta
-    res = famh.hi(pts) - eps * hX.hi(pts) - C * yh.lo(pts)
+    res = _verify_points(famh, hX, yh, eps, C, sample, ())[0]
     return CertificateRow(eps=float(eps), delta=float(delta), C=float(C),
                           method="reverse", residual=float(res.max()))
 
@@ -542,13 +549,9 @@ def three_space_certificate(theta: LinearOperator, tau_op: LinearOperator,
     """
     dim = _operator_dim(theta, opt)
     h1 = norm_handle(theta.domain)
-    h2 = composed_handle(theta, tau_op, tau_op.codomain)
-    ynorm = norm_handle(theta.codomain)
-
-    def apply_y(V):
-        return ynorm.hi(apply_batch(theta, V))
-
-    rows = _certify_rows(apply_y, h1, h2, eps_grid, dim, opt, sampler)
+    h2 = operator_handle((theta, tau_op), tau_op.codomain)
+    hy = operator_handle((theta,), theta.codomain)
+    rows = _certify_rows(hy, h1, h2, eps_grid, dim, opt, sampler)
     return EhrlingCertificate(
         rows=rows, operator_label=f"{theta.label} / {tau_op.label}",
         norm1_label=h1.label, norm2_label=h2.label,

@@ -100,6 +100,27 @@ def apply_batch(T: LinearOperator, U: np.ndarray) -> np.ndarray:
     raise UnsupportedNormError(f"unknown operator repr {T.repr_kind!r}")
 
 
+def _adjoint_batch(T: LinearOperator, G: np.ndarray, d: int) -> np.ndarray:
+    """Apply the adjoint of T (restricted to a d-truncation) to the rows of G.
+
+    G holds rows in the codomain truncation apply_batch produces from width
+    d; the result has width d. Equals G @ as_matrix(T, d) without building
+    the matrix: diagonal and shift act entrywise.
+    """
+    if T.repr_kind == "diagonal":
+        m = min(d, T.lam.size)
+        out = np.zeros((G.shape[0], d))
+        out[:, :m] = G[:, :m] * T.lam[:m]
+        return out
+    if T.repr_kind == "dense":
+        return (G @ T.matrix)[:, :d]
+    if T.repr_kind == "kernel":
+        return T.spacing * (G @ T.samples)[:, :d]
+    if T.repr_kind == "shift":
+        return G[:, 1:]
+    raise UnsupportedNormError(f"unknown operator repr {T.repr_kind!r}")
+
+
 def apply(T: LinearOperator, u: Element) -> Element:
     return Element(apply_batch(T, u.coeffs[None, :])[0])
 

@@ -3,26 +3,32 @@
 All maximizations here run over *directions*: every objective is built to be
 invariant under positive scaling of its argument, so the search space is the
 unit sphere of the reference norm. The recipe is fixed and seeded: a
-coordinate-axis scan, a batch of random starts driven by finite-difference
-ascent with per-start adaptive steps, then a pattern-search polish around the
+coordinate-axis scan, a batch of random starts driven by subgradient ascent
+with per-start adaptive steps, then a pattern-search polish around the
 leaders. Identical settings give bit-for-bit identical trajectories.
 
-Norm-like quantities enter through NormHandle, which exposes batched lower
-and upper evaluations. Plain norms have lo = hi; a dual family contributes
-the certified enclosure of the very weak norm at a fixed term count (fixed so
-both bounds stay exactly positively homogeneous); an operator-composed norm
-evaluates ||tau(theta(u))||_Z.
+Every objective comes as a pair: the value-only map used by the scan and the
+polish, and a value-and-gradient map used by the ascent, built by the chain
+rule from the closed-form subgradients of its pieces. Because objectives are
+0-homogeneous, their Euclidean gradient is already tangent to the sphere.
+
+Norm-like quantities enter through NormHandle, which returns the lower and
+upper evaluations from one call, or one of them with a subgradient. Plain
+norms have lo = hi; a dual family contributes the certified enclosure of the
+very weak norm at a fixed term count (fixed so both bounds stay exactly
+positively homogeneous); an operator handle evaluates ||A_k ... A_1 u|| and
+pulls gradients back through the adjoints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoModulusError, ToleranceError
-from .operators import LinearOperator, apply_batch
-from .spaces import DualFamily, NormSpec, norm_batch
+from .operators import _adjoint_batch, apply_batch
+from .spaces import DualFamily, NormSpec, _norm_grad, norm_batch
 from .veryweak import _least_terms, very_weak_norm_batch
 
 __all__ = [
@@ -50,7 +56,6 @@ class OptimizerSettings:
     n_starts: int = 64
     iterations: int = 60
     polish_rounds: int = 30
-    fd_step: float = 1e-6
     step_init: float = 0.25
     bisect_rel_width: float = 1e-3
     delta_floor: float = 1e-14
@@ -73,19 +78,29 @@ class SamplerSettings:
 # ---------------------------------------------------------------------------
 
 class NormHandle:
-    """Batched lower/upper evaluation of a norm-like quantity."""
+    """Batched evaluation of a norm-like quantity and of its subgradients.
+
+    bounds returns the (lo, hi) enclosure from one evaluation. lo_grad and
+    hi_grad return one bound together with a subgradient row per operand
+    row; their values are bit-identical to those of bounds.
+    """
 
     label: str = ""
 
-    def lo(self, U: np.ndarray) -> np.ndarray:
+    def bounds(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
+
+    def lo(self, U: np.ndarray) -> np.ndarray:
+        return self.bounds(U)[0]
 
     def hi(self, U: np.ndarray) -> np.ndarray:
+        return self.bounds(U)[1]
+
+    def lo_grad(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    @property
-    def exact(self) -> bool:
-        return True
+    def hi_grad(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
 
 
 class _SpecHandle(NormHandle):
@@ -93,10 +108,15 @@ class _SpecHandle(NormHandle):
         self.ns = ns
         self.label = ns.label
 
-    def lo(self, U):
-        return norm_batch(self.ns, U)
+    def bounds(self, U):
+        v = norm_batch(self.ns, U)
+        return v, v
 
-    hi = lo
+    def lo_grad(self, U):
+        v = norm_batch(self.ns, U)
+        return v, _norm_grad(self.ns, U, v)
+
+    hi_grad = lo_grad
 
 
 class _FamilyHandle(NormHandle):
@@ -105,7 +125,12 @@ class _FamilyHandle(NormHandle):
     The term count is frozen up front (from the enclosure tolerance and a cap
     on the strong norms the search will see) so that both bounds are exactly
     positively homogeneous; the tail majorant stays valid for every argument
-    regardless of the cap.
+    regardless of the cap. The gradient of lo is sum_k 2^-k sign<phi_k,u> phi_k
+    (w * sign(u) in coordinate mode); hi adds 2^-M times the strong-norm
+    gradient outside coordinate mode. Where a pairing vanishes, each
+    coordinate takes its one-sided derivative along +e_j (2^-k |phi_kj|), so
+    axis-aligned rows, such as the axis scan's best row and basis-like warm
+    starts, still get a direction off their kinks.
     """
 
     def __init__(self, fam: DualFamily, tol: float, norm_cap: float):
@@ -113,33 +138,68 @@ class _FamilyHandle(NormHandle):
         self.label = f"very-weak({fam.mode}, {fam.space.label})"
         cap = max(float(norm_cap), 1.0)
         self.terms = _least_terms(cap, tol)
+        self._series = 2.0 ** (-np.arange(1, self.terms + 1, dtype=np.float64))
+        self._prefix = {}  # operand width -> phi_1..phi_M cut to that width
 
-    def lo(self, U):
-        lo, _ = very_weak_norm_batch(self.fam, U, terms=self.terms)
-        return lo
+    def bounds(self, U):
+        return very_weak_norm_batch(self.fam, U, terms=self.terms)
 
-    def hi(self, U):
-        _, hi = very_weak_norm_batch(self.fam, U, terms=self.terms)
-        return hi
+    def _lo_gradient(self, U):
+        d = U.shape[1]
+        if self.fam.mode == "coordinate":
+            w = self.fam.coordinate_weights(d)
+            return np.where(U < 0.0, -w, w)
+        P = self._prefix.get(d)
+        if P is None:
+            P = self._prefix[d] = self.fam.prefix_matrix(self.terms, d)[:, :d]
+        S = U @ P.T
+        return (np.sign(S) * self._series) @ P + ((S == 0.0) * self._series) @ np.abs(P)
 
-    @property
-    def exact(self) -> bool:
-        return self.fam.mode == "coordinate"
+    def lo_grad(self, U):
+        lo, _ = self.bounds(U)
+        return lo, self._lo_gradient(U)
+
+    def hi_grad(self, U):
+        _, hi = self.bounds(U)
+        G = self._lo_gradient(U)
+        if self.fam.mode != "coordinate":
+            R = norm_batch(self.fam.space, U)
+            G += 2.0 ** (-self.terms) * _norm_grad(self.fam.space, U, R)
+        return hi, G
 
 
-class _ComposedHandle(NormHandle):
-    """||tau(theta(u))||_Z evaluated through the operator gallery."""
+class _OperatorHandle(NormHandle):
+    """u -> inner(A_k ... A_1 u) for an operator chain, inner at its upper bound.
 
-    def __init__(self, theta: LinearOperator, tau_op: LinearOperator, znorm: NormSpec):
-        self.theta = theta
-        self.tau_op = tau_op
-        self.znorm = znorm
-        self.label = f"{znorm.label} after {tau_op.label} after {theta.label}"
+    Both bounds are the inner upper bound (the conservative side for an
+    objective value). Gradients pull the inner gradient back through the
+    adjoints, last operator first.
+    """
 
-    def lo(self, U):
-        return norm_batch(self.znorm, apply_batch(self.tau_op, apply_batch(self.theta, U)))
+    def __init__(self, ops, inner: NormHandle):
+        self.ops = tuple(ops)
+        self.inner = inner
+        self.label = " after ".join([inner.label] + [op.label for op in reversed(self.ops)])
 
-    hi = lo
+    def _apply(self, U):
+        widths = []
+        for op in self.ops:
+            widths.append(U.shape[1])
+            U = apply_batch(op, U)
+        return U, widths
+
+    def bounds(self, U):
+        v = self.inner.hi(self._apply(U)[0])
+        return v, v
+
+    def lo_grad(self, U):
+        Y, widths = self._apply(U)
+        v, G = self.inner.hi_grad(Y)
+        for op, d in zip(reversed(self.ops), reversed(widths)):
+            G = _adjoint_batch(op, G, d)
+        return v, G
+
+    hi_grad = lo_grad
 
 
 def norm_handle(obj, *, enclosure_tol: float = 1e-10, norm_cap: float = 1.0) -> NormHandle:
@@ -155,8 +215,9 @@ def norm_handle(obj, *, enclosure_tol: float = 1e-10, norm_cap: float = 1.0) -> 
     raise ToleranceError(f"cannot build a norm handle from {type(obj).__name__}")
 
 
-def composed_handle(theta, tau_op, znorm) -> NormHandle:
-    return _ComposedHandle(theta, tau_op, znorm)
+def operator_handle(ops, ynorm) -> NormHandle:
+    """u -> ||A_k ... A_1 u||_Y for the operators ops, applied first to last."""
+    return _OperatorHandle(ops, norm_handle(ynorm))
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +255,24 @@ def _unit_rows(V: np.ndarray) -> np.ndarray:
     return V / n[:, None]
 
 
+def _usable(vals: np.ndarray, G: np.ndarray):
+    """Rows whose value or gradient is not finite get no ascent direction."""
+    bad = ~(np.isfinite(vals) & np.isfinite(G).all(axis=1))
+    if np.any(bad):
+        G[bad] = 0.0
+    return vals, G
+
+
 def maximize_direction(objective, dim: int, opt: OptimizerSettings,
-                       extra_starts: np.ndarray | None = None):
+                       extra_starts: np.ndarray | None = None, *, value_and_grad):
     """Maximize a scale-invariant batched objective over nonzero directions.
 
     objective maps an (n, dim) array of directions to (n,) values and must
-    tolerate arbitrary nonzero rows. Returns (best value, best direction).
+    tolerate arbitrary nonzero rows; value_and_grad maps the same rows to
+    (values, (n, dim) subgradients), with values bit-identical to
+    objective's. The axis scan and the polish use objective; the starts and
+    the ascent use value_and_grad, one call of n rows per iteration.
+    Returns (best value, best direction).
     """
     rng = np.random.default_rng(opt.seed)
 
@@ -210,30 +283,26 @@ def maximize_direction(objective, dim: int, opt: OptimizerSettings,
     axes = np.vstack(blocks[:2])
     axis_vals = objective(axes)
 
-    V = _unit_rows(np.vstack(blocks[2:]) if len(blocks) > 2 else blocks[2])
-    vals = objective(V)
-
     # seed the ascent with the best axis as well
     k = int(np.argmax(axis_vals))
-    V = np.vstack([V, axes[k][None, :]])
-    vals = np.append(vals, axis_vals[k])
+    V = np.vstack([_unit_rows(np.vstack(blocks[2:])), axes[k][None, :]])
+    vals, G = _usable(*value_and_grad(V))
 
     n = V.shape[0]
     steps = np.full(n, opt.step_init)
     eye = np.eye(dim)
 
     for _ in range(opt.iterations):
-        # batched forward-difference gradient on the sphere
-        P = (V[:, None, :] + opt.fd_step * eye[None, :, :]).reshape(n * dim, dim)
-        fp = objective(P).reshape(n, dim)
-        G = (fp - vals[:, None]) / opt.fd_step
-        gn = np.sqrt((G * G).sum(axis=1))
-        gn = np.where(gn > 0.0, gn, 1.0)
-        W = _unit_rows(V + steps[:, None] * G / gn[:, None])
-        fw = objective(W)
+        # rows scaled to unit max-entry first, so squaring cannot overflow
+        D = G / np.maximum(np.abs(G).max(axis=1), 1e-300)[:, None]
+        dn = np.sqrt((D * D).sum(axis=1))
+        dn = np.where(dn > 0.0, dn, 1.0)
+        W = _unit_rows(V + steps[:, None] * D / dn[:, None])
+        fw, GW = _usable(*value_and_grad(W))
         better = fw > vals
         V[better] = W[better]
         vals[better] = fw[better]
+        G[better] = GW[better]
         steps[better] *= 1.25
         steps[~better] *= 0.5
         if np.all(steps < 1e-12):
@@ -263,60 +332,89 @@ def maximize_direction(objective, dim: int, opt: OptimizerSettings,
     return float(pool_vals[j]), pool[j].copy()
 
 
+def ratio_objective(num: NormHandle, den: NormHandle):
+    """num.lo / den.hi as a search pair (value, value-and-gradient).
+
+    Rows where den vanishes, or the quotient is not finite, read 0.
+    """
+
+    def ratio(a, b):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.where(b > 0.0, a / b, 0.0)
+        return np.where(np.isfinite(r), r, 0.0)
+
+    def f(V):
+        return ratio(num.lo(V), den.hi(V))
+
+    def fg(V):
+        (a, ga), (b, gb) = num.lo_grad(V), den.hi_grad(V)
+        r = ratio(a, b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return r, (ga - r[:, None] * gb) / b[:, None]
+
+    return f, fg
+
+
 # ---------------------------------------------------------------------------
 # modulus bisection
 # ---------------------------------------------------------------------------
 
-def _restricted_sup(apply_y, norm1: NormHandle, norm2: NormHandle, delta: float,
-                    dim: int, opt: OptimizerSettings, warm=None):
-    """sup ||Tu||_Y over {norm1(u) <= 1, norm2(u) <= delta} by direction search.
+def _restricted_sup(hy: NormHandle, norm1: NormHandle, norm2: NormHandle,
+                    delta: float, dim: int, opt: OptimizerSettings, warm=None):
+    """sup hy(u) over {norm1(u) <= 1, norm2(u) <= delta} by direction search.
 
     The objective rescales each direction v onto the boundary of the feasible
-    region: c = min(1/norm1(v), delta/norm2(v)); its value is c * ||Tv||_Y.
+    region: c = min(1/norm1(v), delta/norm2(v)); its value is c * hy(v).
     The norm2 lower bound is used for feasibility, which can only enlarge the
     region and overestimate the supremum: the conservative side.
     """
 
-    def f(V):
-        n1 = norm1.hi(V)
-        n2 = norm2.lo(V)
-        y = apply_y(V)
+    def scale(n1, n2):
         with np.errstate(divide="ignore", invalid="ignore"):
             c1 = np.where(n1 > 0.0, 1.0 / n1, np.inf)
             c2 = np.where(n2 > 0.0, delta / n2, np.inf)
         c = np.minimum(c1, c2)
-        c = np.where(np.isfinite(c), c, 0.0)  # both norms vanish: the zero ray
-        return y * c
+        return c1, c2, np.where(np.isfinite(c), c, 0.0)  # both norms vanish: the zero ray
 
-    return maximize_direction(f, dim, opt, extra_starts=warm)
+    def f(V):
+        n1 = norm1.hi(V)
+        n2 = norm2.lo(V)
+        return hy.hi(V) * scale(n1, n2)[2]
+
+    def fg(V):
+        (n1, g1), (n2, g2), (y, gy) = norm1.hi_grad(V), norm2.lo_grad(V), hy.hi_grad(V)
+        c1, c2, c = scale(n1, n2)
+        # the binding branch of the min: d(1/n1) = -g1/n1^2, d(delta/n2) = -delta g2/n2^2
+        with np.errstate(invalid="ignore", over="ignore"):
+            dc = np.where((c1 <= c2)[:, None], -g1 * (c1 * c1)[:, None],
+                          -g2 * (c2 * c2 / delta)[:, None])
+            return y * c, gy * c[:, None] + y[:, None] * dc
+
+    return maximize_direction(f, dim, opt, extra_starts=warm, value_and_grad=fg)
 
 
-def bisect_modulus(apply_y, norm1: NormHandle, norm2: NormHandle, eps: float,
+def bisect_modulus(hy: NormHandle, norm1: NormHandle, norm2: NormHandle, eps: float,
                    dim: int, opt: OptimizerSettings):
-    """Largest delta (to relative width bisect_rel_width) with sup <= eps.
+    """Largest delta (to relative width bisect_rel_width) with sup hy <= eps.
 
-    Returns (delta, info). info carries the witness pool for verification,
-    the upper search bound, and whether the bound itself already satisfied
-    the predicate (the degenerate case: the constraint never binds).
+    hy is the objective seminorm (u -> ||Tu||_Y in the forward inequality);
+    the sup runs over {norm1(u) <= 1, norm2(u) <= delta}. Returns
+    (delta, info). info carries the witness pool for verification, the
+    upper search bound, and whether the bound itself already satisfied the
+    predicate (the degenerate case: the constraint never binds).
     """
     if eps <= 0.0:
         raise ToleranceError(f"eps must be positive, got {eps}")
 
     # upper search bound: sup norm2 over the norm1 unit ball
-    def ratio(V):
-        n1 = norm1.hi(V)
-        n2 = norm2.lo(V)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(n1 > 0.0, n2 / n1, 0.0)
-        return np.where(np.isfinite(r), r, 0.0)
-
-    bound, _ = maximize_direction(ratio, dim, opt)
+    f, fg = ratio_objective(norm2, norm1)
+    bound, _ = maximize_direction(f, dim, opt, value_and_grad=fg)
     bound = max(bound, opt.delta_floor)
 
     witnesses = []
 
     def predicate(delta, warm):
-        val, w = _restricted_sup(apply_y, norm1, norm2, delta, dim, opt, warm)
+        val, w = _restricted_sup(hy, norm1, norm2, delta, dim, opt, warm)
         witnesses.append(w)
         return val <= eps, val, w
 
@@ -354,6 +452,3 @@ def bisect_modulus(apply_y, norm1: NormHandle, norm2: NormHandle, eps: float,
     info["sup_at_delta"] = val
     return lo_d, info
 
-
-def settings_for_dim(opt: OptimizerSettings, dim: int) -> OptimizerSettings:
-    return opt if opt.dim == dim else replace(opt, dim=dim)

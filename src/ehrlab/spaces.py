@@ -245,6 +245,43 @@ def norm_batch(ns: NormSpec, U: np.ndarray) -> np.ndarray:
     raise UnsupportedNormError(ns.kind)
 
 
+def _lq_grad(U: np.ndarray, N: np.ndarray, q: float) -> np.ndarray:
+    """A subgradient of the lq norm at each row of U, given the row norms N.
+
+    For q = 1 a zero coordinate takes its one-sided derivative along +e_j.
+    """
+    if math.isinf(q):
+        G = np.zeros_like(U)
+        rows = np.arange(U.shape[0])
+        j = np.abs(U).argmax(axis=1)
+        G[rows, j] = np.sign(U[rows, j])
+        return G
+    if q == 1.0:
+        return np.where(U < 0.0, -1.0, 1.0)
+    safe = np.where(N > 0.0, N, 1.0)[:, None]  # zero rows get the zero subgradient
+    if q == 2.0:
+        return U / safe
+    return np.sign(U) * (np.abs(U) / safe) ** (q - 1.0)
+
+
+def _norm_grad(ns: NormSpec, U: np.ndarray, N: np.ndarray) -> np.ndarray:
+    """A subgradient of the strong norm ns at each row of U, given N = norm_batch(ns, U)."""
+    if ns.kind == "lp":
+        return _lq_grad(U, N, ns.p)
+    if ns.kind == "weighted-lp":
+        w = ns.weights[: U.shape[1]]
+        return w * _lq_grad(U * w, N, ns.p)
+    if ns.kind == "sobolev-h1":
+        h = ns.h
+        n, d = U.shape
+        padded = np.zeros((n, d + 2))
+        padded[:, 1:-1] = U
+        diffs = np.diff(padded, axis=1)
+        safe = np.where(N > 0.0, N, 1.0)[:, None]
+        return (h * U + (diffs[:, :-1] - diffs[:, 1:]) / h) / safe
+    raise UnsupportedNormError(f"no closed-form gradient for norm kind {ns.kind!r}")
+
+
 def norm(ns: NormSpec, u: Element) -> float:
     """Norm of u under ns.
 
@@ -419,6 +456,7 @@ class DualFamily:
     ordering: str = _ORDERING
     _cache: dict = field(default_factory=dict, repr=False)
     _prefix_rows: list = field(default_factory=list, repr=False)
+    _weights: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.mode not in ("coordinate", "dense-rational"):
@@ -491,6 +529,19 @@ class DualFamily:
                 f"coordinate {m} outside the configured truncation dim {self.dim}"
             )
         return 1.0 / np.sqrt(_riesz_inverse_diag(ns.h, self.dim)[:m])
+
+    def coordinate_weights(self, m: int) -> np.ndarray:
+        """Series weights 2^-k c_k of the first m coordinate functionals.
+
+        Built once per m and then shared (read-only); a width the family
+        cannot serve raises on every call, as coordinate_scales does.
+        """
+        w = self._weights.get(m)
+        if w is None:
+            w = self.coordinate_scales(m) * 2.0 ** (-np.arange(1, m + 1, dtype=np.float64))
+            w.flags.writeable = False
+            self._weights[m] = w
+        return w
 
     def prefix_matrix(self, m: int, width: int) -> np.ndarray:
         """Coefficients of phi_1..phi_m as rows, zero-padded to width columns."""

@@ -120,16 +120,14 @@ def very_weak_norm_batch(
     """
     U = np.atleast_2d(np.asarray(U, dtype=np.float64))
     n, d = U.shape
-    R = norm_batch(fam.space, U)
 
     if fam.mode == "coordinate":
         # Closed form: functionals beyond d annihilate every row, so using
         # M = d terms makes the tail exactly zero.
-        scales = fam.coordinate_scales(d)
-        weights = scales * 2.0 ** (-np.arange(1, d + 1, dtype=np.float64))
-        lo = np.abs(U) @ weights
+        lo = np.abs(U) @ fam.coordinate_weights(d)
         return lo, lo.copy()
 
+    R = norm_batch(fam.space, U)
     if terms is None:
         if tau is None:
             raise ToleranceError("need either tau or an explicit term count")

@@ -48,10 +48,12 @@ class TestValidation:
         assert "/family/dim" in exc.value.pointers
 
     def test_budget_rejects_unknown_keys(self):
-        doc = {"job": "norm", "element": [1.0],
-               "family": {"mode": "coordinate"}, "budget": {"warp": 9}}
-        with pytest.raises(ScenarioError):
-            validate_scenario(doc)
+        # fd_step, the step of the former finite-difference ascent, is gone too
+        for key in ("warp", "fd_step"):
+            doc = {"job": "norm", "element": [1.0],
+                   "family": {"mode": "coordinate"}, "budget": {key: 9}}
+            with pytest.raises(ScenarioError):
+                validate_scenario(doc)
 
     def test_valid_scenarios_on_disk(self):
         for name in ("norm_e3.json", "certify_diag16.json", "falsify_shift.json"):

@@ -11,6 +11,7 @@ from ehrlab import (
     CertifiedValue,
     DualFamily,
     Element,
+    EnumerationError,
     NormSpec,
     ToleranceError,
     basis_element,
@@ -174,6 +175,14 @@ class TestCoordinateMode:
         fam = DualFamily(mode="coordinate", space=ns)
         cv = very_weak_norm(fam, Element([1.0, 1.0]), tau=1e-12)
         assert cv.lo == pytest.approx(0.5 * 2.0 + 0.25 * 4.0, rel=1e-15)
+
+    def test_operand_wider_than_the_weights_raises_every_time(self):
+        fam = DualFamily(mode="coordinate", space=NormSpec.weighted_lp(2, [2.0, 4.0]))
+        lo, hi = very_weak_norm_batch(fam, np.ones((3, 2)))
+        assert np.array_equal(lo, np.full(3, 2.0)) and np.array_equal(hi, lo)
+        for _ in range(2):  # the cached narrower weights must not serve it
+            with pytest.raises(EnumerationError):
+                very_weak_norm_batch(fam, np.ones((3, 3)))
 
 
 # ---------------------------------------------------------------------------
