@@ -156,9 +156,9 @@ def _job_norm(sc):
     return 0, {"enclosure": cv.as_dict()}, table
 
 
-def _rows_table(cert) -> list:
+def _rows_table(rows) -> list:
     table = [("eps", "delta", "C", "method", "residual")]
-    for r in cert.rows:
+    for r in rows:
         table.append((r.eps, r.delta, r.C, r.method, r.residual))
     return table
 
@@ -174,7 +174,7 @@ def _job_certify(sc):
     eps_grid = tuple(sc.get("eps_grid", DEFAULT_EPS_GRID))
     cert = certify(T, norm1, norm2, eps_grid, opt=_optimizer(sc),
                    sampler=_sampler(sc))
-    return _certificate_exit(cert), {"certificate": cert.as_dict()}, _rows_table(cert)
+    return _certificate_exit(cert), {"certificate": cert.as_dict()}, _rows_table(cert.rows)
 
 
 def _job_reverse(sc):
@@ -183,9 +183,7 @@ def _job_reverse(sc):
     row = reverse_certificate(T, fam, sc["eps"], opt=_optimizer(sc),
                               sampler=_sampler(sc))
     status = 0 if row.residual <= 0.0 else 3
-    table = [("eps", "delta", "C", "method", "residual"),
-             (row.eps, row.delta, row.C, row.method, row.residual)]
-    return status, {"row": row.as_dict()}, table
+    return status, {"row": row.as_dict()}, _rows_table([row])
 
 
 def _job_three_space(sc):
@@ -194,7 +192,7 @@ def _job_three_space(sc):
     eps_grid = tuple(sc.get("eps_grid", DEFAULT_EPS_GRID))
     cert = three_space_certificate(theta, tau_op, eps_grid, opt=_optimizer(sc),
                                    sampler=_sampler(sc))
-    return _certificate_exit(cert), {"certificate": cert.as_dict()}, _rows_table(cert)
+    return _certificate_exit(cert), {"certificate": cert.as_dict()}, _rows_table(cert.rows)
 
 
 def _job_falsify(sc):

@@ -172,15 +172,12 @@ def _operator_dim(T: LinearOperator, opt: OptimizerSettings) -> int:
     return 16  # the default truncation for dimension-free reprs
 
 
-def _norm_cap(norm_x: NormSpec | None, norm1: NormHandle, dim: int,
+def _norm_cap(norm_x: NormSpec, norm1: NormHandle, dim: int,
               opt: OptimizerSettings) -> float:
     """Upper estimate of the strong norm over the norm1 unit ball.
 
     Used only to fix the enclosure term count, so a loose factor is fine.
     """
-    if norm_x is None:
-        return 1.0
-
     f, fg = ratio_objective(norm_handle(norm_x), norm1)
     light = replace(opt, iterations=20, polish_rounds=10)
     val, _ = maximize_direction(f, dim, light, value_and_grad=fg)
@@ -240,6 +237,18 @@ def _quotient_grad(r: np.ndarray, gnum: np.ndarray, den: np.ndarray,
         return (gnum - r[:, None] * gden) / den[:, None]
 
 
+def _witness(hy: NormHandle, h1: NormHandle, h2: NormHandle, u: np.ndarray,
+             eps: float, C: float, note: str) -> Witness:
+    """The Witness at u: the constant it forces and its residual against C,
+    both taken with the norm2 upper bound (the FAIL side)."""
+    U = u[None, :]
+    num = float(hy.hi(U)[0] - eps * h1.hi(U)[0])
+    den = float(h2.hi(U)[0])
+    return Witness(u=Element(u), eps=eps,
+                   lower_bound_on_C=num / den if den > 0.0 else float("inf"),
+                   residual=num - C * den, note=note)
+
+
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
@@ -282,8 +291,7 @@ def _attack_residual(hy, h1, h2, eps, C, dim, opt, extra=None):
         return y - eps - C * n2, back(gy - C * g2)
 
     val, v = maximize_direction(f, dim, opt, extra_starts=extra, value_and_grad=fg)
-    n1 = float(h1.hi(v[None, :])[0])
-    return val, v / n1 if n1 > 0.0 else v
+    return val, _unit(h1, v[None, :])[0]
 
 
 def _verify_points(hy, h1, h2, eps, C, sample, witnesses):
@@ -327,16 +335,8 @@ def verify_certificate(T: LinearOperator, norm1, norm2, eps: float, C: float,
     max_pass, worst = float(pass_res[k]), point(k)
     witness = None
     if fail_res.max() > 0.0:
-        k = int(np.argmax(fail_res))
-        u = point(k)
-        denom = float(h2.hi(u[None, :])[0])
-        num = float(hy.hi(u[None, :])[0] - eps * h1.hi(u[None, :])[0])
-        witness = Witness(
-            u=Element(u), eps=eps,
-            lower_bound_on_C=num / denom if denom > 0.0 else float("inf"),
-            residual=float(fail_res[k]),
-            note="upper-bound residual positive: genuine violation",
-        )
+        witness = _witness(hy, h1, h2, point(int(np.argmax(fail_res))), eps, C,
+                           "upper-bound residual positive: genuine violation")
     return VerificationReport(
         passed=max_pass <= 0.0,
         max_residual=max_pass,
@@ -347,16 +347,19 @@ def verify_certificate(T: LinearOperator, norm1, norm2, eps: float, C: float,
 
 
 def _certify_rows(hy, h1, h2, eps_grid, dim, opt, sampler):
-    """Bisect, harden, and verify one row per eps; then enforce monotonicity."""
-    if not len(tuple(eps_grid)):
+    """Bisect, harden, and verify one row per eps; then enforce monotonicity.
+
+    hy is the bounded side and h2 the constraint norm, so the reverse form
+    comes through here with its handles exchanged.
+    """
+    eps_sorted = sorted({float(e) for e in eps_grid}, reverse=True)
+    if not eps_sorted:
         raise ToleranceError("eps grid must contain at least one value")
     sample = _sample(hy, h1, h2, ball_points(sampler, dim, h1))
     rows = []
     pools = []
-    eps_sorted = sorted({float(e) for e in eps_grid}, reverse=True)
     for eps in eps_sorted:
-        delta, info = bisect_modulus(hy, h1, h2, eps, dim, opt)
-        pool = info["witnesses"]
+        delta, pool = bisect_modulus(hy, h1, h2, eps, dim, opt)
         C = eps / delta
         # hardening: shrink delta until the residual attack comes back empty
         for _ in range(opt.harden_rounds):
@@ -443,18 +446,10 @@ def falsify(T: LinearOperator, norm1, fam: DualFamily, eps: float, c_max: float,
     h1, h2, hy = _handles(T, norm1, fam, dim, opt)
 
     B = _unit(h1, np.eye(dim))
-    num = hy.hi(B) - eps * h1.hi(B)
-    den = h2.hi(B)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(den > 0.0, num / den, np.where(num > 0.0, np.inf, 0.0))
+    ratios = _quotient(hy.hi(B) - eps * h1.hi(B), h2.hi(B))
     for k in range(dim):
         if ratios[k] > c_max:
-            u = B[k]
-            return Witness(
-                u=Element(u), eps=eps, lower_bound_on_C=float(ratios[k]),
-                residual=float(num[k] - c_max * den[k]),
-                note=f"basis direction e_{k + 1}",
-            )
+            return _witness(hy, h1, h2, B[k], eps, c_max, f"basis direction e_{k + 1}")
 
     def f(V):
         W = _unit(h1, V)
@@ -468,14 +463,7 @@ def falsify(T: LinearOperator, norm1, fam: DualFamily, eps: float, c_max: float,
 
     val, v = maximize_direction(f, dim, opt, value_and_grad=fg)
     if math.isfinite(val) and val > c_max:
-        n1v = float(h1.hi(v[None, :])[0])
-        u = v / n1v if n1v > 0.0 else v
-        num_u = float(hy.hi(u[None, :])[0] - eps * h1.hi(u[None, :])[0])
-        den_u = float(h2.hi(u[None, :])[0])
-        return Witness(
-            u=Element(u), eps=eps, lower_bound_on_C=num_u / den_u,
-            residual=num_u - c_max * den_u, note="ascent",
-        )
+        return _witness(hy, h1, h2, _unit(h1, v[None, :])[0], eps, c_max, "ascent")
     return None
 
 
@@ -504,7 +492,8 @@ def reverse_certificate(T: LinearOperator, fam: DualFamily, eps: float,
 
     The domain norm must be a reflexive model (lp with 1 < p < inf, or the
     Hilbertian sobolev-h1); injectivity on the truncation is checked through
-    the smallest singular value of the materialized matrix.
+    the smallest singular value of the materialized matrix. The row is
+    bisected, hardened and verified by the same pipeline as certify.
     """
     _check_reflexive_model(T.domain)
     dim = _operator_dim(T, opt)
@@ -515,27 +504,11 @@ def reverse_certificate(T: LinearOperator, fam: DualFamily, eps: float,
             f"smallest singular value {smin:.3g} on the dim-{dim} truncation"
         )
 
-    hX = norm_handle(T.domain)
-    famh = norm_handle(fam, enclosure_tol=opt.enclosure_tol,
-                       norm_cap=_norm_cap(fam.space, hX, dim, opt))
-    # roles exchanged: the objective is the very weak norm upper bound and the
-    # constraint norm is ||Tu||_Y
-    yh = operator_handle((T,), T.codomain)
-    delta, info = bisect_modulus(famh, hX, yh, eps, dim, opt)
-    C = eps / delta
-
-    # verification with exchanged roles: residual = |u|_hi - eps*||u||_X - C*||Tu||
-    sample = _sample(famh, hX, yh, ball_points(sampler, dim, hX))
-    for _ in range(opt.harden_rounds):
-        aval, _ = _attack_residual(famh, hX, yh, eps, C, dim, opt)
-        worst = _verify_points(famh, hX, yh, eps, C, sample, ())[0].max()
-        if max(aval, worst) <= 0.0:
-            break
-        delta *= 0.8
-        C = eps / delta
-    res = _verify_points(famh, hX, yh, eps, C, sample, ())[0]
-    return CertificateRow(eps=float(eps), delta=float(delta), C=float(C),
-                          method="reverse", residual=float(res.max()))
+    hX, famh, yh = _handles(T, T.domain, fam, dim, opt)
+    # roles exchanged: the very weak norm is the bounded side and ||Tu||_Y the
+    # constraint norm, so the residual is |u|_Phi - eps*||u||_X - C*||Tu||_Y
+    (row,) = _certify_rows(famh, hX, yh, (eps,), dim, opt, sampler)
+    return replace(row, method="reverse")
 
 
 def three_space_certificate(theta: LinearOperator, tau_op: LinearOperator,

@@ -16,7 +16,7 @@ Representations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -224,10 +224,7 @@ def make_sobolev_embedding(d: int, h: float) -> LinearOperator:
     op = make_diagonal(
         np.ones(int(d)), NormSpec.sobolev_h1(h), NormSpec.lp(2), cc_status=CC,
     )
-    return LinearOperator(
-        repr_kind=op.repr_kind, domain=op.domain, codomain=op.codomain,
-        cc_status=CC, lam=op.lam, label=f"sobolev-embedding[d={d}, h={h:g}]",
-    )
+    return replace(op, label=f"sobolev-embedding[d={d}, h={h:g}]")
 
 
 # ---------------------------------------------------------------------------

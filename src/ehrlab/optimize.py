@@ -399,9 +399,9 @@ def bisect_modulus(hy: NormHandle, norm1: NormHandle, norm2: NormHandle, eps: fl
 
     hy is the objective seminorm (u -> ||Tu||_Y in the forward inequality);
     the sup runs over {norm1(u) <= 1, norm2(u) <= delta}. Returns
-    (delta, info). info carries the witness pool for verification, the
-    upper search bound, and whether the bound itself already satisfied the
-    predicate (the degenerate case: the constraint never binds).
+    (delta, witnesses): the maximizer of every predicate's search, a pool
+    the verification reuses. When the upper search bound itself satisfies
+    the predicate (the constraint never binds) it is returned as delta.
     """
     if eps <= 0.0:
         raise ToleranceError(f"eps must be positive, got {eps}")
@@ -419,11 +419,8 @@ def bisect_modulus(hy: NormHandle, norm1: NormHandle, norm2: NormHandle, eps: fl
         return val <= eps, val, w
 
     ok, val, w = predicate(bound, None)
-    info = {"upper_bound": bound, "witnesses": witnesses, "degenerate": False,
-            "sup_at_delta": val}
     if ok:
-        info["degenerate"] = True
-        return bound, info
+        return bound, witnesses
 
     # geometric descent to bracket, then log-space bisection
     hi_d, lo_d = bound, None
@@ -448,7 +445,5 @@ def bisect_modulus(hy: NormHandle, norm1: NormHandle, norm2: NormHandle, eps: fl
             lo_d = mid
         else:
             hi_d = mid
-
-    info["sup_at_delta"] = val
-    return lo_d, info
+    return lo_d, witnesses
 

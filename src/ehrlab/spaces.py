@@ -351,7 +351,6 @@ def _dual_norm_vec(ns: NormSpec, vec: np.ndarray) -> float:
         # A = h I + K/h, K the Dirichlet second-difference matrix, then
         # dual norm = sqrt(f . x). Relative accuracy of the banded solve is
         # far below the contractual 1e-10 at these sizes.
-        d = vec.size
         x = _riesz_solve(ns.h, vec)
         val = float(np.dot(vec, x))
         return math.sqrt(max(val, 0.0))
@@ -487,27 +486,10 @@ class DualFamily:
     def _coordinate_functional(self, k: int) -> Functional:
         if k < 1:
             raise EnumerationError(f"enumeration index must be >= 1, got {k}")
-        ns = self.space
-        if ns.kind == "lp":
-            scale = 1.0
-        elif ns.kind == "weighted-lp":
-            if k > ns.weights.size:
-                raise EnumerationError(
-                    f"coordinate {k} exceeds the {ns.weights.size} configured weights"
-                )
-            scale = float(ns.weights[k - 1])
-        else:  # sobolev-h1
-            if self.dim is None or k > self.dim:
-                raise EnumerationError(
-                    f"coordinate {k} outside the configured truncation dim {self.dim}"
-                )
-            scale = 1.0 / math.sqrt(_riesz_inverse_diag(ns.h, self.dim)[k - 1])
-            # the h1 dual norm depends on the ambient truncation, so the
-            # functional must carry its full dimension, not just k entries
-            coeffs = np.zeros(self.dim)
-            coeffs[k - 1] = scale
-            return Functional(coeffs, dual_norm_bound=1.0)
-        coeffs = np.zeros(k)
+        scale = self.coordinate_scales(k)[k - 1]
+        # the h1 dual norm depends on the ambient truncation, so an h1
+        # functional must carry its full dimension, not just k entries
+        coeffs = np.zeros(self.dim if self.space.kind == "sobolev-h1" else k)
         coeffs[k - 1] = scale
         return Functional(coeffs, dual_norm_bound=1.0)
 

@@ -1,6 +1,7 @@
 """Scenario validation, report determinism, exit codes, and golden files."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -56,7 +57,8 @@ class TestValidation:
                 validate_scenario(doc)
 
     def test_valid_scenarios_on_disk(self):
-        for name in ("norm_e3.json", "certify_diag16.json", "falsify_shift.json"):
+        for name in ("norm_e3.json", "certify_diag16.json", "falsify_shift.json",
+                     "reverse_diag.json", "three_space_h1.json"):
             load_scenario(SCENARIOS / name)
 
     def test_job_override_applies_before_validation(self, tmp_path):
@@ -265,6 +267,9 @@ GOLDEN_SETS = [
     ("certify_diag16.json", ["certify_diag16-report.json",
                              "certify_diag16-rows.csv"]),
     ("falsify_shift.json", ["falsify_shift-report.json"]),
+    ("reverse_diag.json", ["reverse_diag-report.json", "reverse_diag-rows.csv"]),
+    ("three_space_h1.json", ["three_space_h1-report.json",
+                             "three_space_h1-rows.csv"]),
 ]
 
 
@@ -286,10 +291,13 @@ class TestGolden:
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
+        # the child interpreter finds the package in src/ of the checkout
+        paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
         proc = subprocess.run(
             [sys.executable, "-m", "ehrlab", "run",
              str(SCENARIOS / "norm_e3.json"), "--output-dir", str(tmp_path)],
-            capture_output=True, text=True, cwd=REPO,
+            capture_output=True, text=True, cwd=REPO, env=env,
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "norm_e3-report.json").exists()

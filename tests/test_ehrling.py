@@ -222,8 +222,15 @@ class TestCertify:
         assert [r.eps for r in cert.rows] == [1.0, 0.5]
 
     def test_rejects_empty_grid(self):
-        with pytest.raises(ToleranceError):
-            certify(self.T, L2, self.fam, eps_grid=())
+        for grid in ((), iter(())):
+            with pytest.raises(ToleranceError):
+                certify(self.T, L2, self.fam, eps_grid=grid)
+        # a one-shot grid is read once, so it is not mistaken for an empty one
+        cert = certify(self.T, L2, self.fam, eps_grid=iter([0.5]), opt=FAST)
+        assert [r.eps for r in cert.rows] == [0.5]
+        identity = make_diagonal([1.0] * 4, L2, L2)
+        cert = three_space_certificate(identity, identity, iter([0.5]), opt=FAST)
+        assert [r.eps for r in cert.rows] == [0.5]
 
 
 # ---------------------------------------------------------------------------

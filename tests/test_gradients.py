@@ -166,12 +166,14 @@ def test_composed_three_space_norm_gradient():
 
 @pytest.fixture
 def searches(monkeypatch):
-    """Every (caller, objective, value_and_grad, dim) handed to the search."""
+    """Every (caller, objective, value_and_grad, dim, extra_starts) handed to
+    the search."""
     seen = []
     real = optimize.maximize_direction
 
     def spy(objective, dim, opt, extra_starts=None, *, value_and_grad):
-        seen.append((sys._getframe(1).f_code.co_name, objective, value_and_grad, dim))
+        seen.append((sys._getframe(1).f_code.co_name, objective, value_and_grad, dim,
+                     extra_starts))
         return real(objective, dim, opt, extra_starts, value_and_grad=value_and_grad)
 
     monkeypatch.setattr(optimize, "maximize_direction", spy)
@@ -183,7 +185,7 @@ def check_searches(seen, expected_callers):
     callers = {caller for caller, *_ in seen}
     assert set(expected_callers) <= callers, callers
     checked = 0
-    for i, (caller, f, fg, dim) in enumerate(seen):
+    for i, (caller, f, fg, dim, _) in enumerate(seen):
         checked += assert_gradient(f, fg, directions(dim, n=3, seed=i), caller)
     assert checked > 0
 
@@ -223,6 +225,10 @@ def test_reverse_and_three_space_objectives(searches):
         reverse_certificate(T, DualFamily(mode=mode, space=L2), 0.5,
                             opt=OptimizerSettings(n_starts=4, iterations=3,
                                                   polish_rounds=1, harden_rounds=2, dim=4))
+    # reverse hardens through the shared pipeline: its residual attacks start
+    # from the witness pool the bisection collected
+    assert any(extra is not None and len(extra)
+               for caller, *_, extra in searches if caller == "_attack_residual")
     theta = make_sobolev_embedding(6, 0.25)
     tau_op = make_diagonal([1.0] * 6, L2, NormSpec.weighted_lp(2, 2.0 ** -np.arange(1, 7)))
     three_space_certificate(theta, tau_op, (0.5,), opt=TINY)
