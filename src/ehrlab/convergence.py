@@ -50,10 +50,6 @@ __all__ = [
     "custom_sequence",
 ]
 
-VERDICTS = ("strong", "weak-not-strong", "very-weak-only",
-            "bounded-divergent", "unbounded")
-
-
 # ---------------------------------------------------------------------------
 # sequence generators
 # ---------------------------------------------------------------------------

@@ -176,7 +176,7 @@ def _norm_cap(norm_x: NormSpec, norm1: NormHandle, dim: int,
               opt: OptimizerSettings) -> float:
     """Upper estimate of the strong norm over the norm1 unit ball.
 
-    Used only to fix the enclosure term count, so a loose factor is fine.
+    Used only to fix the dense enclosure's term count; a loose factor is fine.
     """
     f, fg = ratio_objective(norm_handle(norm_x), norm1)
     light = replace(opt, iterations=20, polish_rounds=10)
@@ -186,13 +186,13 @@ def _norm_cap(norm_x: NormSpec, norm1: NormHandle, dim: int,
 
 def _handles(T: LinearOperator, norm1, norm2, dim: int, opt: OptimizerSettings):
     h1 = norm_handle(norm1)
-    fam_space = None
-    if isinstance(norm2, DualFamily):
-        fam_space = norm2.space
-    elif isinstance(norm2, NormSpec) and norm2.kind == "very-weak":
-        fam_space = norm2.family.space
-    cap = _norm_cap(fam_space, h1, dim, opt) if fam_space is not None else 1.0
-    h2 = norm_handle(norm2, enclosure_tol=opt.enclosure_tol, norm_cap=cap)
+    fam = norm2
+    if isinstance(norm2, NormSpec) and norm2.kind == "very-weak":
+        fam = norm2.family
+    cap = 1.0  # coordinate enclosures are exact and read no term count
+    if isinstance(fam, DualFamily) and fam.mode != "coordinate":
+        cap = _norm_cap(fam.space, h1, dim, opt)
+    h2 = norm_handle(norm2, norm_cap=cap)
     return h1, h2, operator_handle((T,), T.codomain)
 
 
@@ -238,15 +238,20 @@ def _quotient_grad(r: np.ndarray, gnum: np.ndarray, den: np.ndarray,
 
 
 def _witness(hy: NormHandle, h1: NormHandle, h2: NormHandle, u: np.ndarray,
-             eps: float, C: float, note: str) -> Witness:
+             eps: float, C: float, note: str) -> Witness | None:
     """The Witness at u: the constant it forces and its residual against C,
-    both taken with the norm2 upper bound (the FAIL side)."""
+    both taken with the norm2 upper bound (the FAIL side). None unless these
+    recomputed values, not only the search's batch values (which can differ
+    in the last bit), show the violation: residual > 0 and bound > C."""
     U = u[None, :]
     num = float(hy.hi(U)[0] - eps * h1.hi(U)[0])
     den = float(h2.hi(U)[0])
-    return Witness(u=Element(u), eps=eps,
-                   lower_bound_on_C=num / den if den > 0.0 else float("inf"),
-                   residual=num - C * den, note=note)
+    bound = num / den if den > 0.0 else float("inf")
+    residual = num - C * den
+    if not (residual > 0.0 and bound > C):
+        return None
+    return Witness(u=Element(u), eps=eps, lower_bound_on_C=bound,
+                   residual=residual, note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +329,8 @@ def verify_certificate(T: LinearOperator, norm1, norm2, eps: float, C: float,
     The reported residual is the conservative one (norm2 lower bound): if it
     is <= 0 the inequality holds at every sampled point for the true norm2
     value. A Witness is attached only when the upper-bound residual is
-    positive somewhere, which proves a genuine violation.
+    positive somewhere and stays positive when recomputed at that point,
+    which proves a genuine violation.
     """
     dim = _operator_dim(T, opt)
     h1, h2, hy = _handles(T, norm1, norm2, dim, opt)
@@ -447,9 +453,10 @@ def falsify(T: LinearOperator, norm1, fam: DualFamily, eps: float, c_max: float,
 
     B = _unit(h1, np.eye(dim))
     ratios = _quotient(hy.hi(B) - eps * h1.hi(B), h2.hi(B))
-    for k in range(dim):
-        if ratios[k] > c_max:
-            return _witness(hy, h1, h2, B[k], eps, c_max, f"basis direction e_{k + 1}")
+    for k in np.flatnonzero(ratios > c_max):
+        w = _witness(hy, h1, h2, B[k], eps, c_max, f"basis direction e_{k + 1}")
+        if w is not None:
+            return w
 
     def f(V):
         W = _unit(h1, V)

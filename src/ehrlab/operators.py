@@ -1,9 +1,8 @@
 """Gallery of linear operators between truncated sequence spaces.
 
-Each operator carries its domain and codomain norm specs plus an advisory
-complete-continuity tag. The tag is metadata for reports only: no
-certification or falsification routine ever branches on it, so a wrong label
-cannot corrupt a verdict.
+Each operator carries its domain and codomain norm specs. Whether it is
+completely continuous is what certify and falsify decide; operators store no
+such claim.
 
 Representations:
 
@@ -37,19 +36,11 @@ __all__ = [
     "kernel_from_csv",
 ]
 
-CC = "completely-continuous"
-NOT_CC = "not-completely-continuous"
-UNKNOWN = "unknown"
-
-_STATUSES = (CC, NOT_CC, UNKNOWN)
-
-
 @dataclass(frozen=True, eq=False)
 class LinearOperator:
     repr_kind: str
     domain: NormSpec
     codomain: NormSpec
-    cc_status: str = UNKNOWN
     lam: np.ndarray | None = None      # diagonal
     matrix: np.ndarray | None = None   # dense
     samples: np.ndarray | None = None  # kernel grid values
@@ -57,8 +48,6 @@ class LinearOperator:
     label: str = ""
 
     def __post_init__(self):
-        if self.cc_status not in _STATUSES:
-            raise InvalidElementError(f"unknown cc_status {self.cc_status!r}")
         if not self.label:
             object.__setattr__(self, "label", self.repr_kind)
 
@@ -134,62 +123,34 @@ def as_matrix(T: LinearOperator, dim: int) -> np.ndarray:
 # constructors
 # ---------------------------------------------------------------------------
 
-def _diagonal_cc_heuristic(lam: np.ndarray) -> str:
-    """Advisory label from the stored prefix of the diagonal sequence.
-
-    Trailing zeros read as a finite-rank intent, a strictly decreasing
-    trailing half as decay toward zero; a constant nonzero sequence is the
-    identity pattern. Anything else stays unknown.
-    """
-    a = np.abs(lam)
-    if a[-1] == 0.0:
-        return CC
-    if a.size >= 2:
-        tail = a[a.size // 2:]
-        if np.all(np.diff(a) <= 0.0) and np.all(np.diff(tail) < 0.0):
-            return CC
-    if np.all(lam == lam[0]) and lam[0] != 0.0:
-        return NOT_CC
-    return UNKNOWN
-
-
-def make_diagonal(
-    lam,
-    domain: NormSpec,
-    codomain: NormSpec,
-    cc_status: str | None = None,
-) -> LinearOperator:
+def make_diagonal(lam, domain: NormSpec, codomain: NormSpec) -> LinearOperator:
     """Diagonal operator from a coefficient prefix (zero-extended beyond it)."""
     arr = np.asarray(lam, dtype=np.float64).copy()
     if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
         raise InvalidElementError("diagonal coefficients must be a finite 1-d vector")
     arr.flags.writeable = False
-    status = cc_status if cc_status is not None else _diagonal_cc_heuristic(arr)
     return LinearOperator(
         repr_kind="diagonal", domain=domain, codomain=codomain,
-        cc_status=status, lam=arr, label=f"diagonal[d={arr.size}]",
+        lam=arr, label=f"diagonal[d={arr.size}]",
     )
 
 
-def make_dense(matrix, domain: NormSpec, codomain: NormSpec,
-               cc_status: str = UNKNOWN) -> LinearOperator:
+def make_dense(matrix, domain: NormSpec, codomain: NormSpec) -> LinearOperator:
     M = np.asarray(matrix, dtype=np.float64).copy()
     if M.ndim != 2 or M.size == 0 or not np.all(np.isfinite(M)):
         raise InvalidElementError("dense operator needs a finite 2-d matrix")
     M.flags.writeable = False
     return LinearOperator(
         repr_kind="dense", domain=domain, codomain=codomain,
-        cc_status=cc_status, matrix=M, label=f"dense[{M.shape[0]}x{M.shape[1]}]",
+        matrix=M, label=f"dense[{M.shape[0]}x{M.shape[1]}]",
     )
 
 
-def make_kernel(samples, spacing: float, domain: NormSpec, codomain: NormSpec,
-                cc_status: str = CC) -> LinearOperator:
+def make_kernel(samples, spacing: float, domain: NormSpec,
+                codomain: NormSpec) -> LinearOperator:
     """Integral operator from grid samples of a kernel K(x, y).
 
-    (Tu)_i = spacing * sum_j K(x_i, y_j) u_j. Square-summable kernels give
-    completely continuous operators, hence the default label; pass an
-    explicit status to override.
+    (Tu)_i = spacing * sum_j K(x_i, y_j) u_j.
     """
     K = np.asarray(samples, dtype=np.float64).copy()
     if K.ndim != 2 or K.shape[0] != K.shape[1] or K.size == 0 or not np.all(np.isfinite(K)):
@@ -200,30 +161,26 @@ def make_kernel(samples, spacing: float, domain: NormSpec, codomain: NormSpec,
     K.flags.writeable = False
     return LinearOperator(
         repr_kind="kernel", domain=domain, codomain=codomain,
-        cc_status=cc_status, samples=K, spacing=spacing,
+        samples=K, spacing=spacing,
         label=f"kernel[{K.shape[0]}x{K.shape[0]}, h={spacing:g}]",
     )
 
 
 def make_shift(domain: NormSpec, codomain: NormSpec) -> LinearOperator:
     """The right shift: an isometry on every lp, never completely continuous."""
-    return LinearOperator(
-        repr_kind="shift", domain=domain, codomain=codomain,
-        cc_status=NOT_CC, label="shift",
-    )
+    return LinearOperator(repr_kind="shift", domain=domain, codomain=codomain,
+                          label="shift")
 
 
 def make_sobolev_embedding(d: int, h: float) -> LinearOperator:
     """Identity coefficients viewed from the discrete h1 norm into l2.
 
     The compactness carrier is the norm pair, not the coefficient action, so
-    the representation is a unit diagonal with an explicit advisory label.
+    the representation is a unit diagonal.
     """
     if d < 2:
         raise UnsupportedNormError(f"embedding needs a grid of d >= 2, got {d}")
-    op = make_diagonal(
-        np.ones(int(d)), NormSpec.sobolev_h1(h), NormSpec.lp(2), cc_status=CC,
-    )
+    op = make_diagonal(np.ones(int(d)), NormSpec.sobolev_h1(h), NormSpec.lp(2))
     return replace(op, label=f"sobolev-embedding[d={d}, h={h:g}]")
 
 
@@ -231,11 +188,11 @@ def make_sobolev_embedding(d: int, h: float) -> LinearOperator:
 # JSON / CSV construction
 # ---------------------------------------------------------------------------
 
-def kernel_from_csv(path, spacing: float, domain: NormSpec, codomain: NormSpec,
-                    cc_status: str = CC) -> LinearOperator:
+def kernel_from_csv(path, spacing: float, domain: NormSpec,
+                    codomain: NormSpec) -> LinearOperator:
     """Kernel operator from a CSV file of row-major grid samples."""
     K = np.loadtxt(path, delimiter=",", ndmin=2)
-    return make_kernel(K, spacing, domain, codomain, cc_status)
+    return make_kernel(K, spacing, domain, codomain)
 
 
 def operator_from_json(obj: dict) -> LinearOperator:
@@ -243,17 +200,13 @@ def operator_from_json(obj: dict) -> LinearOperator:
     domain = normspec_from_json(obj["domain"]) if "domain" in obj else NormSpec.lp(2)
     codomain = normspec_from_json(obj["codomain"]) if "codomain" in obj else NormSpec.lp(2)
     if kind == "diagonal":
-        return make_diagonal(obj["lambda"], domain, codomain,
-                             cc_status=obj.get("cc_status"))
+        return make_diagonal(obj["lambda"], domain, codomain)
     if kind == "dense":
-        return make_dense(obj["matrix"], domain, codomain,
-                          cc_status=obj.get("cc_status", UNKNOWN))
+        return make_dense(obj["matrix"], domain, codomain)
     if kind == "kernel":
         if "csv" in obj:
-            return kernel_from_csv(obj["csv"], obj["spacing"], domain, codomain,
-                                   cc_status=obj.get("cc_status", CC))
-        return make_kernel(obj["samples"], obj["spacing"], domain, codomain,
-                           cc_status=obj.get("cc_status", CC))
+            return kernel_from_csv(obj["csv"], obj["spacing"], domain, codomain)
+        return make_kernel(obj["samples"], obj["spacing"], domain, codomain)
     if kind == "shift":
         return make_shift(domain, codomain)
     if kind == "sobolev-embedding":

@@ -48,8 +48,7 @@ class OptimizerSettings:
     dim is the ambient truncation the search runs in; when None it is
     inferred from the operator (diagonal/dense/kernel carry one) and falls
     back to 16. delta_floor is the smallest modulus the bisection will
-    consider before declaring that no modulus exists. enclosure_tol fixes the
-    width of very-weak enclosures used inside the search.
+    consider before declaring that no modulus exists.
     """
 
     seed: int = 0
@@ -59,7 +58,6 @@ class OptimizerSettings:
     step_init: float = 0.25
     bisect_rel_width: float = 1e-3
     delta_floor: float = 1e-14
-    enclosure_tol: float = 1e-10
     harden_rounds: int = 8
     dim: int | None = None
 
@@ -70,7 +68,6 @@ class SamplerSettings:
 
     n_samples: int = 10000
     seed: int = 0
-    include_basis: bool = True
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +229,10 @@ def ball_points(sampler: SamplerSettings, dim: int, norm1: NormHandle) -> np.nda
     norms = np.where(norms > 0.0, norms, 1.0)
     radii = rng.random(sampler.n_samples) ** (1.0 / dim)
     pts = X / norms[:, None] * radii[:, None]
-    if sampler.include_basis:
-        E = np.eye(dim)
-        en = norm1.hi(E)
-        en = np.where(en > 0.0, en, 1.0)
-        pts = np.vstack([pts, E / en[:, None]])
-    return pts
+    E = np.eye(dim)
+    en = norm1.hi(E)
+    en = np.where(en > 0.0, en, 1.0)
+    return np.vstack([pts, E / en[:, None]])
 
 
 # ---------------------------------------------------------------------------

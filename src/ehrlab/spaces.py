@@ -298,25 +298,14 @@ def norm(ns: NormSpec, u: Element) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Functional:
-    """A continuous functional given by coefficients against the basis.
-
-    dual_norm_bound is a certified bound on the functional's dual norm for
-    the space it was built against; members of a dual family keep it <= 1.
-    """
+    """A continuous functional given by coefficients against the basis."""
 
     coeffs: np.ndarray
-    dual_norm_bound: float = 1.0
 
     def __post_init__(self):
         arr = _as_vector(self.coeffs, "functional coefficients").copy()
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
-        b = float(self.dual_norm_bound)
-        if not (0.0 < b <= 1.0 + 1e-12):
-            raise InvalidElementError(
-                f"dual_norm_bound must lie in (0, 1], got {b}"
-            )
-        object.__setattr__(self, "dual_norm_bound", b)
 
     @property
     def dim(self) -> int:
@@ -392,15 +381,12 @@ def normalized_functional(ns: NormSpec, coeffs) -> Functional:
     vec = _as_vector(coeffs, "functional coefficients")
     dn = _dual_norm_vec(ns, vec)
     scale = 1.0 / max(1.0, dn)
-    return Functional(vec * scale, dual_norm_bound=min(1.0, dn * scale) or 1.0)
+    return Functional(vec * scale)
 
 
 # ---------------------------------------------------------------------------
 # dual families
 # ---------------------------------------------------------------------------
-
-_ORDERING = "diagonal-dyadic-v1"
-
 
 def _dense_block_walk(k: int):
     """Locate global index k (1-based) in the diagonal enumeration.
@@ -445,16 +431,13 @@ class DualFamily:
 
     mode "coordinate" yields the k-th coordinate functional normalized to
     dual norm 1; mode "dense-rational" walks the fixed diagonal enumeration
-    of dyadic-rational vectors, rescaling each by 1/max(1, dual norm). The
-    ordering tag names the enumeration rule so reports can cite it.
+    of dyadic-rational vectors, rescaling each by 1/max(1, dual norm).
     """
 
     mode: str
     space: NormSpec
     dim: int | None = None
-    ordering: str = _ORDERING
     _cache: dict = field(default_factory=dict, repr=False)
-    _prefix_rows: list = field(default_factory=list, repr=False)
     _weights: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -479,6 +462,10 @@ class DualFamily:
             f = self._coordinate_functional(k)
         else:
             raw = _dense_raw_vector(k)
+            if self.space.kind == "sobolev-h1" and raw.size < self.dim:
+                # the h1 dual norm grows with the truncation: normalize
+                # against the family's full dim, not the support width
+                raw = np.pad(raw, (0, self.dim - raw.size))
             f = normalized_functional(self.space, raw)
         self._cache[k] = f
         return f
@@ -491,7 +478,7 @@ class DualFamily:
         # functional must carry its full dimension, not just k entries
         coeffs = np.zeros(self.dim if self.space.kind == "sobolev-h1" else k)
         coeffs[k - 1] = scale
-        return Functional(coeffs, dual_norm_bound=1.0)
+        return Functional(coeffs)
 
     def coordinate_scales(self, m: int) -> np.ndarray:
         """Normalization coefficients of the first m coordinate functionals."""
@@ -527,13 +514,11 @@ class DualFamily:
 
     def prefix_matrix(self, m: int, width: int) -> np.ndarray:
         """Coefficients of phi_1..phi_m as rows, zero-padded to width columns."""
-        while len(self._prefix_rows) < m:
-            self._prefix_rows.append(self.functional(len(self._prefix_rows) + 1).coeffs)
-        w = max(width, max(r.size for r in self._prefix_rows[:m]))
-        out = np.zeros((m, w))
-        for i, row in enumerate(self._prefix_rows[:m]):
+        rows = [self.functional(k).coeffs for k in range(1, m + 1)]
+        out = np.zeros((m, max(width, max(r.size for r in rows))))
+        for i, row in enumerate(rows):
             out[i, : row.size] = row
-        return out[:, :w]
+        return out
 
 
 def enumerate_phi(fam: DualFamily, k: int) -> Functional:

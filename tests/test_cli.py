@@ -4,11 +4,23 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
+import jsonschema
 import pytest
 
-from ehrlab import ScenarioError
+from ehrlab import (
+    DualFamily,
+    NormSpec,
+    OptimizerSettings,
+    SamplerSettings,
+    ScenarioError,
+    family_from_json,
+    normspec_from_json,
+    operator_from_json,
+)
+from ehrlab import cli
 from ehrlab.cli import load_scenario, main, run, validate_scenario
 
 REPO = Path(__file__).resolve().parent.parent
@@ -80,6 +92,76 @@ class TestValidation:
             load_scenario(p)
 
 
+# one schema-valid instance per value of each definition's discriminant
+SCHEMA_EXAMPLES = {
+    "operator": ("kind", {
+        "diagonal": {"kind": "diagonal", "lambda": [1.0, 0.5]},
+        "dense": {"kind": "dense", "matrix": [[1.0, 0.0], [0.0, 1.0]]},
+        "kernel": {"kind": "kernel", "samples": [[1.0, 0.5], [0.5, 1.0]],
+                   "spacing": 0.5},
+        "shift": {"kind": "shift"},
+        "sobolev-embedding": {"kind": "sobolev-embedding", "d": 4, "h": 0.2},
+    }),
+    "norm": ("kind", {
+        "lp": {"kind": "lp", "p": "inf"},
+        "weighted-lp": {"kind": "weighted-lp", "p": 2, "weights": [1.0, 2.0]},
+        "sobolev-h1": {"kind": "sobolev-h1", "h": 0.5},
+        "very-weak": {"kind": "very-weak", "family": {"mode": "coordinate"},
+                      "tolerance": 1e-8},
+    }),
+    "family": ("mode", {
+        "coordinate": {"mode": "coordinate"},
+        "dense-rational": {"mode": "dense-rational", "dim": 4,
+                           "space": {"kind": "sobolev-h1", "h": 0.5}},
+    }),
+    "sequence": ("rule", {
+        "basis": {"rule": "basis", "dim": 4},
+        "strongly-convergent": {"rule": "strongly-convergent",
+                                "target": [1.0, 0.0], "horizon": 4},
+        "appendix-counterexample": {"rule": "appendix-counterexample",
+                                    "horizon": 2},
+        "custom": {"rule": "custom", "elements": [[1.0], [0.5]]},
+    }),
+}
+
+SCHEMA_BUILDERS = {
+    "operator": operator_from_json,
+    "norm": normspec_from_json,
+    "family": family_from_json,
+    "sequence": lambda obj: cli._sequence(
+        {"sequence": obj}, DualFamily(mode="coordinate", space=NormSpec.lp(2))),
+}
+
+
+class TestSchemaMatchesLibrary:
+    def test_every_accepted_value_builds(self):
+        schema = cli._schema()
+        defs = schema["$defs"]
+        assert set(schema["properties"]["job"]["enum"]) == set(cli._HANDLERS)
+        for name, (key, examples) in SCHEMA_EXAMPLES.items():
+            defn = defs[name]
+            if "oneOf" in defn:
+                accepted = {b["properties"][key]["const"] for b in defn["oneOf"]}
+            else:
+                accepted = set(defn["properties"][key]["enum"])
+            assert accepted == set(examples), name
+            # every other enum the definition declares, set on one example
+            base = next(iter(examples.values()))
+            instances = list(examples.values()) + [
+                {**base, prop: value}
+                for prop, spec in defn.get("properties", {}).items()
+                if prop != key and "enum" in spec for value in spec["enum"]]
+            validator = jsonschema.Draft202012Validator(
+                {"$ref": f"#/$defs/{name}", "$defs": defs})
+            for obj in instances:
+                validator.validate(obj)
+                SCHEMA_BUILDERS[name](obj)
+        # cli._optimizer and cli._sampler pass these keys on as keywords
+        for name, settings in (("budget", OptimizerSettings),
+                               ("sampler", SamplerSettings)):
+            assert set(defs[name]["properties"]) <= {f.name for f in fields(settings)}
+
+
 # ---------------------------------------------------------------------------
 # exit codes through main()
 # ---------------------------------------------------------------------------
@@ -94,6 +176,17 @@ class TestExitCodes:
         assert main(["run", str(p)]) == 1
         err = capsys.readouterr().err
         assert "required" in err
+
+    def test_removed_keys_fail_validation_by_pointer(self, tmp_path, capsys):
+        base = {"job": "certify", "operator": {"kind": "diagonal", "lambda": [0.5]},
+                "norm1": {"kind": "lp", "p": 2}, "norm2": {"mode": "coordinate"}}
+        for section, key, value in (("operator", "cc_status", "cc"),
+                                    ("sampler", "include_basis", True)):
+            doc = json.loads(json.dumps(base))
+            doc.setdefault(section, {})[key] = value
+            p = write_scenario(tmp_path, doc)
+            assert main(["run", str(p), "--output-dir", str(tmp_path)]) == 1
+            assert f"/{section}: Additional properties" in capsys.readouterr().err
 
     def test_norm_job_exits_0(self, tmp_path):
         rc = main(["run", str(SCENARIOS / "norm_e3.json"),

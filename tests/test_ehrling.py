@@ -1,6 +1,7 @@
 """Certificates, sharp constants, falsification, and the reverse inequality."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,7 +33,9 @@ from ehrlab import (
     verify_certificate,
     very_weak_norm,
 )
+from ehrlab import ehrling
 from ehrlab.errors import DimensionMismatchError
+from ehrlab.optimize import NormHandle
 
 L2 = NormSpec.lp(2)
 COORD3 = DualFamily(mode="coordinate", space=L2, dim=3)
@@ -338,6 +341,98 @@ class TestFalsify:
         compact = make_diagonal([2.0 ** (-k) for k in range(1, 17)], L2, L2)
         assert falsify(compact, L2, fam, 0.5, 1e3, opt=opt) is None
         assert modulus_delta(compact, L2, fam, 0.5, opt=opt) > 0.0
+
+
+class TestNormCapSearch:
+    """The norm-cap search fixes only the dense enclosure's term count."""
+
+    @staticmethod
+    def count_searches(monkeypatch):
+        calls = []
+        real = ehrling.maximize_direction
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ehrling, "maximize_direction", spy)
+        return calls
+
+    def test_coordinate_families_skip_it(self, monkeypatch):
+        calls = self.count_searches(monkeypatch)
+        fam = DualFamily(mode="coordinate", space=L2)
+        shift = make_shift(L2, L2)
+        opt = OptimizerSettings(dim=16)
+        verify_certificate(shift, L2, fam, 0.5, 1e3,
+                           sampler=SamplerSettings(n_samples=200), opt=opt)
+        assert falsify(shift, L2, fam, 0.5, 1e3, opt=opt) is not None
+        assert calls == []
+        verify_certificate(shift, L2, DualFamily("dense-rational", L2), 0.5, 1e3,
+                           sampler=SamplerSettings(n_samples=200), opt=opt)
+        assert len(calls) == 1
+
+
+class _OneRowLow(NormHandle):
+    """Wraps hy so that one-row inputs, the witness recomputation, read half
+    of what the batches the search decides from read (only for rows whose
+    largest entry sits at a coordinate in axes, when axes is given)."""
+
+    def __init__(self, inner, axes=None):
+        self.inner, self.axes, self.label = inner, axes, inner.label
+
+    def bounds(self, U):
+        lo, hi = self.inner.bounds(U)
+        if len(U) == 1 and (self.axes is None
+                            or int(np.argmax(np.abs(U[0]))) in self.axes):
+            return 0.5 * lo, 0.5 * hi
+        return lo, hi
+
+    def lo_grad(self, U):
+        return self.inner.lo_grad(U)
+
+    def hi_grad(self, U):
+        return self.inner.hi_grad(U)
+
+
+class TestWitnessConsistency:
+    """A witness is returned only when its own reported values show the
+    violation, not merely the batch values the search decided from."""
+
+    @staticmethod
+    def lower_one_row_hy(monkeypatch, axes=None):
+        real = ehrling._handles
+
+        def handles(*args):
+            h1, h2, hy = real(*args)
+            return h1, h2, _OneRowLow(hy, axes)
+
+        monkeypatch.setattr(ehrling, "_handles", handles)
+
+    def test_verify_drops_an_unconfirmed_witness(self, monkeypatch):
+        self.lower_one_row_hy(monkeypatch)
+        fam = DualFamily(mode="coordinate", space=L2)
+        rep = verify_certificate(make_shift(L2, L2), L2, fam, eps=0.5, C=1.0,
+                                 sampler=SamplerSettings(n_samples=200),
+                                 opt=OptimizerSettings(dim=8))
+        assert not rep.passed
+        assert rep.witness is None
+
+    def test_falsify_basis_scan_moves_to_the_next_direction(self, monkeypatch):
+        # e_2 is the first basis direction past c_max = 1, but its
+        # recomputed residual is negative; e_3 confirms
+        self.lower_one_row_hy(monkeypatch, axes={1})
+        fam = DualFamily(mode="coordinate", space=L2)
+        w = falsify(make_shift(L2, L2), L2, fam, 0.5, 1.0,
+                    opt=OptimizerSettings(dim=8))
+        assert w.note == "basis direction e_3"
+        assert w.residual > 0.0
+        assert w.lower_bound_on_C > 1.0
+
+    def test_falsify_drops_unconfirmed_witnesses(self, monkeypatch):
+        self.lower_one_row_hy(monkeypatch)
+        fam = DualFamily(mode="coordinate", space=L2)
+        assert falsify(make_shift(L2, L2), L2, fam, 0.5, 1.0,
+                       opt=replace(FAST, dim=8)) is None
 
 
 # ---------------------------------------------------------------------------
