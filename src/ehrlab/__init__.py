@@ -29,10 +29,8 @@ from .ehrling import (
     OptimalConstantResult,
     VerificationReport,
     Witness,
-    certificate_from_modulus,
     certify,
     falsify,
-    modulus_delta,
     optimal_constant,
     reverse_certificate,
     three_space_certificate,
@@ -52,7 +50,6 @@ from .errors import (
 )
 from .operators import (
     LinearOperator,
-    apply,
     apply_batch,
     as_matrix,
     kernel_from_csv,
@@ -68,7 +65,6 @@ from .spaces import (
     DualFamily,
     Element,
     Functional,
-    basis_element,
     dual_norm,
     enumerate_phi,
     family_from_json,
@@ -78,13 +74,10 @@ from .spaces import (
     normspec_from_json,
     NormSpec,
     pair,
-    zero_element,
 )
 from .veryweak import (
     CertifiedValue,
-    compare_certified,
     tail_bound,
-    very_weak_distance,
     very_weak_norm,
     very_weak_norm_batch,
 )
@@ -95,14 +88,13 @@ __all__ = [
     "__version__",
     # spaces
     "Element", "NormSpec", "Functional", "DualFamily",
-    "basis_element", "zero_element", "norm", "norm_batch", "dual_norm",
+    "norm", "norm_batch", "dual_norm",
     "pair", "normalized_functional", "enumerate_phi",
     "normspec_from_json", "family_from_json",
     # veryweak
-    "CertifiedValue", "very_weak_norm", "very_weak_norm_batch",
-    "very_weak_distance", "tail_bound", "compare_certified",
+    "CertifiedValue", "very_weak_norm", "very_weak_norm_batch", "tail_bound",
     # operators
-    "LinearOperator", "apply", "apply_batch", "as_matrix",
+    "LinearOperator", "apply_batch", "as_matrix",
     "make_diagonal", "make_dense", "make_kernel", "make_shift",
     "make_sobolev_embedding", "kernel_from_csv", "operator_from_json",
     # optimize
@@ -110,7 +102,6 @@ __all__ = [
     # ehrling
     "DEFAULT_EPS_GRID", "CertificateRow", "EhrlingCertificate", "Witness",
     "VerificationReport", "OptimalConstantResult",
-    "modulus_delta", "certificate_from_modulus",
     "certify", "verify_certificate", "optimal_constant", "falsify",
     "reverse_certificate", "three_space_certificate",
     # convergence

@@ -37,6 +37,7 @@ from .optimize import (
     NormHandle,
     OptimizerSettings,
     SamplerSettings,
+    _unit,
     ball_points,
     bisect_modulus,
     maximize_direction,
@@ -54,8 +55,6 @@ __all__ = [
     "Witness",
     "VerificationReport",
     "OptimalConstantResult",
-    "modulus_delta",
-    "certificate_from_modulus",
     "certify",
     "optimal_constant",
     "verify_certificate",
@@ -100,12 +99,6 @@ class EhrlingCertificate:
             "norm2": self.norm2_label,
             "rows": [r.as_dict() for r in self.rows],
         }
-
-    def row(self, eps: float) -> CertificateRow:
-        for r in self.rows:
-            if math.isclose(r.eps, eps, rel_tol=1e-12):
-                return r
-        raise KeyError(f"no certificate row at eps={eps}")
 
 
 @dataclass(frozen=True)
@@ -206,12 +199,6 @@ def _sample(hy: NormHandle, h1: NormHandle, h2: NormHandle, pts: np.ndarray):
     return pts, hy.hi(pts), h1.hi(pts), lo, hi
 
 
-def _unit(h1: NormHandle, V: np.ndarray) -> np.ndarray:
-    """The rows of V scaled onto the h1 unit sphere (zero rows left alone)."""
-    n1 = h1.hi(V)
-    return V / np.where(n1 > 0.0, n1, 1.0)[:, None]
-
-
 def _unit_grad(h1: NormHandle, V: np.ndarray):
     """_unit(h1, V), plus the chain rule taking a gradient at W back to V.
 
@@ -257,31 +244,6 @@ def _witness(hy: NormHandle, h1: NormHandle, h2: NormHandle, u: np.ndarray,
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
-
-def modulus_delta(T: LinearOperator, norm1, norm2, eps: float,
-                  opt: OptimizerSettings = OptimizerSettings()) -> float:
-    """Largest certified delta with sup{||Tu||_Y : norm1<=1, norm2<=delta} <= eps.
-
-    Bisection runs to relative width 1e-3 (configurable) and returns the
-    feasible end of the bracket. Raises NoModulusError when the restricted
-    supremum still exceeds eps at the configured delta floor. When the
-    constraint never binds (the unconstrained supremum is already <= eps)
-    the upper search bound itself is returned.
-    """
-    dim = _operator_dim(T, opt)
-    h1, h2, hy = _handles(T, norm1, norm2, dim, opt)
-    delta, _ = bisect_modulus(hy, h1, h2, eps, dim, opt)
-    return float(delta)
-
-
-def certificate_from_modulus(eps: float, delta: float) -> CertificateRow:
-    """The constructive constant: C = eps / delta, exact in floating point."""
-    if not (eps > 0.0 and delta > 0.0):
-        raise ToleranceError("eps and delta must be positive")
-    return CertificateRow(eps=float(eps), delta=float(delta),
-                          C=float(eps) / float(delta), method="modulus",
-                          residual=float("nan"))
-
 
 def _attack_residual(hy, h1, h2, eps, C, dim, opt, extra=None):
     """Ascent on the PASS residual hy - eps*h1 - C*h2.lo over the h1 unit sphere."""

@@ -20,11 +20,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidElementError, UnsupportedNormError
-from .spaces import Element, NormSpec, normspec_from_json
+from .spaces import NormSpec, normspec_from_json
 
 __all__ = [
     "LinearOperator",
-    "apply",
     "apply_batch",
     "as_matrix",
     "make_diagonal",
@@ -108,10 +107,6 @@ def _adjoint_batch(T: LinearOperator, G: np.ndarray, d: int) -> np.ndarray:
     if T.repr_kind == "shift":
         return G[:, 1:]
     raise UnsupportedNormError(f"unknown operator repr {T.repr_kind!r}")
-
-
-def apply(T: LinearOperator, u: Element) -> Element:
-    return Element(apply_batch(T, u.coeffs[None, :])[0])
 
 
 def as_matrix(T: LinearOperator, dim: int) -> np.ndarray:

@@ -40,6 +40,9 @@ __all__ = [
     "bisect_modulus",
 ]
 
+STEP_INIT = 0.25  # initial ascent step of every start
+BISECT_REL_WIDTH = 1e-3  # the modulus bisection stops at this relative bracket width
+
 
 @dataclass(frozen=True)
 class OptimizerSettings:
@@ -55,8 +58,6 @@ class OptimizerSettings:
     n_starts: int = 64
     iterations: int = 60
     polish_rounds: int = 30
-    step_init: float = 0.25
-    bisect_rel_width: float = 1e-3
     delta_floor: float = 1e-14
     harden_rounds: int = 8
     dim: int | None = None
@@ -136,7 +137,6 @@ class _FamilyHandle(NormHandle):
         cap = max(float(norm_cap), 1.0)
         self.terms = _least_terms(cap, tol)
         self._series = 2.0 ** (-np.arange(1, self.terms + 1, dtype=np.float64))
-        self._prefix = {}  # operand width -> phi_1..phi_M cut to that width
 
     def bounds(self, U):
         return very_weak_norm_batch(self.fam, U, terms=self.terms)
@@ -146,9 +146,7 @@ class _FamilyHandle(NormHandle):
         if self.fam.mode == "coordinate":
             w = self.fam.coordinate_weights(d)
             return np.where(U < 0.0, -w, w)
-        P = self._prefix.get(d)
-        if P is None:
-            P = self._prefix[d] = self.fam.prefix_matrix(self.terms, d)[:, :d]
+        P = self.fam.prefix_matrix(self.terms, d)
         S = U @ P.T
         return (np.sign(S) * self._series) @ P + ((S == 0.0) * self._series) @ np.abs(P)
 
@@ -221,18 +219,18 @@ def operator_handle(ops, ynorm) -> NormHandle:
 # sampling
 # ---------------------------------------------------------------------------
 
+def _unit(h1: NormHandle, V: np.ndarray) -> np.ndarray:
+    """The rows of V scaled onto the h1 unit sphere (zero rows left alone)."""
+    n1 = h1.hi(V)
+    return V / np.where(n1 > 0.0, n1, 1.0)[:, None]
+
+
 def ball_points(sampler: SamplerSettings, dim: int, norm1: NormHandle) -> np.ndarray:
     """Deterministic sample of the norm1 unit ball, plus normalized basis rows."""
     rng = np.random.default_rng(sampler.seed)
     X = rng.standard_normal((sampler.n_samples, dim))
-    norms = norm1.hi(X)
-    norms = np.where(norms > 0.0, norms, 1.0)
     radii = rng.random(sampler.n_samples) ** (1.0 / dim)
-    pts = X / norms[:, None] * radii[:, None]
-    E = np.eye(dim)
-    en = norm1.hi(E)
-    en = np.where(en > 0.0, en, 1.0)
-    return np.vstack([pts, E / en[:, None]])
+    return np.vstack([_unit(norm1, X) * radii[:, None], _unit(norm1, np.eye(dim))])
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +282,7 @@ def maximize_direction(objective, dim: int, opt: OptimizerSettings,
     vals, G = _usable(*value_and_grad(V))
 
     n = V.shape[0]
-    steps = np.full(n, opt.step_init)
+    steps = np.full(n, STEP_INIT)
     eye = np.eye(dim)
 
     for _ in range(opt.iterations):
@@ -390,7 +388,7 @@ def _restricted_sup(hy: NormHandle, norm1: NormHandle, norm2: NormHandle,
 
 def bisect_modulus(hy: NormHandle, norm1: NormHandle, norm2: NormHandle, eps: float,
                    dim: int, opt: OptimizerSettings):
-    """Largest delta (to relative width bisect_rel_width) with sup hy <= eps.
+    """Largest delta (to relative width BISECT_REL_WIDTH) with sup hy <= eps.
 
     hy is the objective seminorm (u -> ||Tu||_Y in the forward inequality);
     the sup runs over {norm1(u) <= 1, norm2(u) <= delta}. Returns
@@ -432,7 +430,7 @@ def bisect_modulus(hy: NormHandle, norm1: NormHandle, norm2: NormHandle, eps: fl
     if lo_d is None:
         raise NoModulusError(eps, opt.delta_floor, val)
 
-    while hi_d / lo_d > 1.0 + opt.bisect_rel_width:
+    while hi_d / lo_d > 1.0 + BISECT_REL_WIDTH:
         mid = float(np.sqrt(lo_d * hi_d))
         ok, val, w = predicate(mid, warm)
         warm = w[None, :]

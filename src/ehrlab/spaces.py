@@ -54,8 +54,6 @@ __all__ = [
     "dual_norm",
     "enumerate_phi",
     "normalized_functional",
-    "basis_element",
-    "zero_element",
     "normspec_from_json",
     "family_from_json",
 ]
@@ -114,19 +112,6 @@ class Element:
 
     def __repr__(self):
         return f"Element(dim={self.dim}, coeffs={np.array2string(self.coeffs, threshold=8)})"
-
-
-def basis_element(k: int, dim: int) -> Element:
-    """The k-th canonical basis vector inside a dim-truncation (1-based)."""
-    if not 1 <= k <= dim:
-        raise DimensionMismatchError(f"basis index {k} outside 1..{dim}")
-    coeffs = np.zeros(dim)
-    coeffs[k - 1] = 1.0
-    return Element(coeffs)
-
-
-def zero_element(dim: int) -> Element:
-    return Element(np.zeros(max(dim, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +423,7 @@ class DualFamily:
     space: NormSpec
     dim: int | None = None
     _cache: dict = field(default_factory=dict, repr=False)
-    _weights: dict = field(default_factory=dict, repr=False)
+    _arrays: dict = field(default_factory=dict, repr=False)  # shared read-only arrays
 
     def __post_init__(self):
         if self.mode not in ("coordinate", "dense-rational"):
@@ -505,20 +490,33 @@ class DualFamily:
         Built once per m and then shared (read-only); a width the family
         cannot serve raises on every call, as coordinate_scales does.
         """
-        w = self._weights.get(m)
+        w = self._arrays.get(("weights", m))
         if w is None:
             w = self.coordinate_scales(m) * 2.0 ** (-np.arange(1, m + 1, dtype=np.float64))
             w.flags.writeable = False
-            self._weights[m] = w
+            self._arrays[("weights", m)] = w
         return w
 
     def prefix_matrix(self, m: int, width: int) -> np.ndarray:
-        """Coefficients of phi_1..phi_m as rows, zero-padded to width columns."""
-        rows = [self.functional(k).coeffs for k in range(1, m + 1)]
-        out = np.zeros((m, max(width, max(r.size for r in rows))))
-        for i, row in enumerate(rows):
-            out[i, : row.size] = row
-        return out
+        """Coefficients of phi_1..phi_m as rows, cut or zero-padded to width columns.
+
+        Built once per (m, width) and then shared (read-only). An h1 family
+        refuses widths beyond its dim, where its members leave the dual unit
+        ball, on every call.
+        """
+        P = self._arrays.get(("prefix", m, width))
+        if P is None:
+            if self.space.kind == "sobolev-h1" and width > self.dim:
+                raise EnumerationError(
+                    f"width {width} outside the configured truncation dim {self.dim}"
+                )
+            P = np.zeros((m, width))
+            for k in range(1, m + 1):
+                row = self.functional(k).coeffs[:width]
+                P[k - 1, : row.size] = row
+            P.flags.writeable = False
+            self._arrays[("prefix", m, width)] = P
+        return P
 
 
 def enumerate_phi(fam: DualFamily, k: int) -> Functional:

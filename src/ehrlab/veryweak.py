@@ -6,10 +6,6 @@ unit ball, so the tail beyond M terms is at most 2^-M times the strong norm
 of u. That single bound is what makes the value computable to any requested
 tolerance: evaluate M terms, attach the tail majorant, and report the pair
 as a two-sided enclosure.
-
-All comparisons between enclosures are conservative: a < b only when the
-entire interval of a lies below the entire interval of b, otherwise the
-comparison is reported as ambiguous rather than silently resolved.
 """
 
 from __future__ import annotations
@@ -25,9 +21,7 @@ __all__ = [
     "CertifiedValue",
     "very_weak_norm",
     "very_weak_norm_batch",
-    "very_weak_distance",
     "tail_bound",
-    "compare_certified",
 ]
 
 
@@ -48,25 +42,8 @@ class CertifiedValue:
                 f"malformed enclosure [{self.lo}, {self.hi}]"
             )
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
     def as_dict(self) -> dict:
         return {"lo": self.lo, "hi": self.hi, "terms_used": self.terms_used}
-
-
-def compare_certified(a: CertifiedValue, b: CertifiedValue) -> str:
-    """Conservative tri-state comparison: 'less', 'greater', or 'ambiguous'."""
-    if a.hi < b.lo:
-        return "less"
-    if a.lo > b.hi:
-        return "greater"
-    return "ambiguous"
 
 
 def tail_bound(M: int, R: float) -> float:
@@ -139,16 +116,7 @@ def very_weak_norm_batch(
     if M < 1:
         raise ToleranceError(f"term count must be >= 1, got {terms}")
 
-    P = fam.prefix_matrix(M, d)
-    w = max(d, P.shape[1])
-    Upad = U if d == w else np.pad(U, ((0, 0), (0, w - d)))
-    Ppad = P if P.shape[1] == w else np.pad(P, ((0, 0), (0, w - P.shape[1])))
-    pairings = np.abs(Upad @ Ppad.T)  # (n, M)
+    pairings = np.abs(U @ fam.prefix_matrix(M, d).T)  # (n, M)
     lo = pairings @ 2.0 ** (-np.arange(1, M + 1, dtype=np.float64))
     hi = lo + 2.0 ** (-M) * R
     return lo, hi
-
-
-def very_weak_distance(fam: DualFamily, u: Element, v: Element, tau: float) -> CertifiedValue:
-    """Certified enclosure of the very weak norm of u - v."""
-    return very_weak_norm(fam, u - v, tau)

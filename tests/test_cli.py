@@ -181,7 +181,9 @@ class TestExitCodes:
         base = {"job": "certify", "operator": {"kind": "diagonal", "lambda": [0.5]},
                 "norm1": {"kind": "lp", "p": 2}, "norm2": {"mode": "coordinate"}}
         for section, key, value in (("operator", "cc_status", "cc"),
-                                    ("sampler", "include_basis", True)):
+                                    ("sampler", "include_basis", True),
+                                    ("budget", "step_init", 0.25),
+                                    ("budget", "bisect_rel_width", 1e-3)):
             doc = json.loads(json.dumps(base))
             doc.setdefault(section, {})[key] = value
             p = write_scenario(tmp_path, doc)

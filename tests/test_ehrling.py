@@ -16,16 +16,14 @@ from ehrlab import (
     SamplerSettings,
     ToleranceError,
     UnsupportedNormError,
-    apply,
-    basis_element,
-    certificate_from_modulus,
+    apply_batch,
+    bisect_modulus,
     certify,
     falsify,
     make_dense,
     make_diagonal,
     make_shift,
     make_sobolev_embedding,
-    modulus_delta,
     norm,
     optimal_constant,
     reverse_certificate,
@@ -35,7 +33,7 @@ from ehrlab import (
 )
 from ehrlab import ehrling
 from ehrlab.errors import DimensionMismatchError
-from ehrlab.optimize import NormHandle
+from ehrlab.optimize import NormHandle, norm_handle, operator_handle
 
 L2 = NormSpec.lp(2)
 COORD3 = DualFamily(mode="coordinate", space=L2, dim=3)
@@ -92,31 +90,38 @@ def oracle_modulus(lam, eps: float, n: int = 400) -> float:
 
 
 # ---------------------------------------------------------------------------
-# modulus_delta and certificate_from_modulus
+# the modulus bisection
 # ---------------------------------------------------------------------------
+
+def modulus(T, norm1, norm2, eps: float, opt: OptimizerSettings, dim: int) -> float:
+    """bisect_modulus on the handles certify builds for a coordinate or strong norm2."""
+    delta, _ = bisect_modulus(operator_handle((T,), T.codomain), norm_handle(norm1),
+                              norm_handle(norm2), eps, dim, opt)
+    return delta
+
 
 class TestModulus:
     def test_zero_operator_returns_search_bound(self):
         Z = make_diagonal([0.0, 0.0, 0.0], L2, L2)
-        d = modulus_delta(Z, L2, L2, 0.25, opt=FAST)
+        d = modulus(Z, L2, L2, 0.25, FAST, 3)
         assert d == pytest.approx(1.0, rel=1e-6)
 
     @pytest.mark.parametrize("eps", [0.25, 0.5, 1.0, 2.0])
     def test_identity_closed_form(self, eps):
         T = make_diagonal([1.0] * 8, L2, L2)
-        d = modulus_delta(T, L2, L2, eps, opt=OptimizerSettings(dim=8))
+        d = modulus(T, L2, L2, eps, OptimizerSettings(), 8)
         assert d == pytest.approx(min(eps, 1.0), rel=5e-3)
 
     @pytest.mark.parametrize("eps", [0.5, 0.25])
     def test_diagonal_matches_grid_oracle(self, eps):
         T = make_diagonal(GALLERY_LAM3, L2, L2)
-        got = modulus_delta(T, L2, COORD3, eps, opt=OptimizerSettings(dim=3))
+        got = modulus(T, L2, COORD3, eps, OptimizerSettings(), 3)
         want = oracle_modulus(GALLERY_LAM3, eps)
         assert got == pytest.approx(want, rel=2e-2)
 
     def test_delta_nondecreasing_in_eps(self):
         T = make_diagonal(GALLERY_LAM3, L2, L2)
-        deltas = [modulus_delta(T, L2, COORD3, eps, opt=FAST)
+        deltas = [modulus(T, L2, COORD3, eps, FAST, 3)
                   for eps in (0.125, 0.25, 0.5, 1.0)]
         for a, b in zip(deltas, deltas[1:]):
             assert b >= a * (1.0 - 1e-9)
@@ -126,23 +131,12 @@ class TestModulus:
         # non-continuity signal is produced by raising the search floor
         T = make_shift(L2, L2)
         fam = DualFamily(mode="coordinate", space=L2)
-        opt = OptimizerSettings(dim=16, delta_floor=1e-2)
+        opt = OptimizerSettings(delta_floor=1e-2)
         with pytest.raises(NoModulusError) as exc:
-            modulus_delta(T, L2, fam, 0.5, opt=opt)
+            modulus(T, L2, fam, 0.5, opt, 16)
         assert exc.value.eps == 0.5
         assert exc.value.delta_floor == 1e-2
         assert exc.value.sup_at_floor > 0.5
-
-    def test_ratio_from_modulus(self):
-        row = certificate_from_modulus(0.5, 0.25)
-        assert (row.C, row.eps, row.delta, row.method) == (2.0, 0.5, 0.25, "modulus")
-        assert certificate_from_modulus(1.0, 1.0).C == 1.0
-
-    def test_ratio_rejects_nonpositive_delta(self):
-        with pytest.raises(ToleranceError):
-            certificate_from_modulus(0.5, 0.0)
-        with pytest.raises(ToleranceError):
-            certificate_from_modulus(0.5, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +211,17 @@ class TestCertify:
         d = cert.as_dict()
         assert [r["eps"] for r in d["rows"]] == [1.0, 0.5]
         assert d["norm1"] == "lp(2)"
-        row = cert.row(0.5)
-        assert row.C == d["rows"][1]["C"]
+        assert cert.rows[1].C == d["rows"][1]["C"]
+
+    def test_dense_certify_builds_each_member_once(self, monkeypatch):
+        # every dense-mode evaluation reads the family's cached prefix matrix
+        calls = []
+        real = DualFamily.functional
+        monkeypatch.setattr(DualFamily, "functional",
+                            lambda fam, k: calls.append(k) or real(fam, k))
+        fam = DualFamily(mode="dense-rational", space=L2)
+        certify(self.T, L2, fam, eps_grid=(1.0, 0.5), opt=FAST)
+        assert sorted(calls) == list(range(1, len(calls) + 1))
 
     def test_duplicate_eps_collapsed(self):
         cert = certify(self.T, L2, self.fam, eps_grid=(0.5, 0.5, 1.0), opt=FAST)
@@ -275,7 +278,7 @@ class TestOptimalConstant:
         assert u is not None
 
         def ratio(v: Element) -> float:
-            num = norm(L2, apply(T, v)) - 0.5 * norm(L2, v)
+            num = norm(L2, Element(apply_batch(T, v.coeffs)[0])) - 0.5 * norm(L2, v)
             den = very_weak_norm(COORD3, v, tau=1e-12).lo
             return num / den
 
@@ -284,9 +287,7 @@ class TestOptimalConstant:
     def test_constructive_constant_dominates_sharp_one(self):
         T = make_diagonal(GALLERY_LAM3, L2, L2)
         for eps in (0.5, 0.25):
-            delta = modulus_delta(T, L2, COORD3, eps,
-                                  opt=OptimizerSettings(dim=3))
-            constructive = certificate_from_modulus(eps, delta).C
+            constructive = eps / modulus(T, L2, COORD3, eps, OptimizerSettings(), 3)
             sharp = optimal_constant(T, L2, COORD3, eps,
                                      opt=OptimizerSettings(dim=3)).value
             assert constructive >= sharp - 1e-6
@@ -324,7 +325,7 @@ class TestFalsify:
         fam = DualFamily(mode="coordinate", space=L2)
         w = falsify(T, L2, fam, 0.5, 1e4, opt=OptimizerSettings(dim=32))
         u = w.u
-        lhs = norm(L2, apply(T, u))
+        lhs = norm(L2, Element(apply_batch(T, u.coeffs)[0]))
         rhs = 0.5 * norm(L2, u) + 1e4 * very_weak_norm(fam, u, tau=1e-15).hi
         assert lhs > rhs
 
@@ -336,11 +337,11 @@ class TestFalsify:
         for c_max in (10.0, 1e3):
             assert falsify(shift, L2, fam, 0.5, c_max, opt=opt) is not None
         with pytest.raises(NoModulusError):
-            modulus_delta(shift, L2, fam, 0.5, opt=opt)
+            modulus(shift, L2, fam, 0.5, opt, 16)
 
         compact = make_diagonal([2.0 ** (-k) for k in range(1, 17)], L2, L2)
         assert falsify(compact, L2, fam, 0.5, 1e3, opt=opt) is None
-        assert modulus_delta(compact, L2, fam, 0.5, opt=opt) > 0.0
+        assert modulus(compact, L2, fam, 0.5, opt, 16) > 0.0
 
 
 class TestNormCapSearch:
@@ -458,7 +459,7 @@ class TestReverse:
         for _ in range(2000):
             u = Element(rng.standard_normal(3))
             lhs = very_weak_norm(COORD3, u, tau=1e-12).hi
-            rhs = 0.5 * norm(L2, u) + row.C * norm(L2, apply(T, u))
+            rhs = 0.5 * norm(L2, u) + row.C * norm(L2, Element(apply_batch(T, u.coeffs)[0]))
             worst = max(worst, lhs - rhs)
         assert worst <= 1e-8
 
@@ -531,4 +532,5 @@ class TestThreeSpace:
             kappa = max(kappa, norm(zn, u) / norm(theta.domain, u))
         bound = row.eps + row.C * kappa
         for u in pts:
-            assert norm(L2, apply(theta, u)) <= bound * norm(theta.domain, u) + 1e-9
+            image = Element(apply_batch(theta, u.coeffs)[0])
+            assert norm(L2, image) <= bound * norm(theta.domain, u) + 1e-9

@@ -106,6 +106,7 @@ FAMILIES = {
                                 space=NormSpec.sobolev_h1(0.25), dim=8),
     "dense-lp2": DualFamily(mode="dense-rational", space=L2),
     "dense-lp3": DualFamily(mode="dense-rational", space=NormSpec.lp(3)),
+    "dense-h1": DualFamily("dense-rational", NormSpec.sobolev_h1(0.25), dim=8),
 }
 
 

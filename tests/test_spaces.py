@@ -14,14 +14,12 @@ from ehrlab import (
     InvalidElementError,
     NormSpec,
     UnsupportedNormError,
-    basis_element,
     dual_norm,
     enumerate_phi,
     norm,
     norm_batch,
     normalized_functional,
     pair,
-    zero_element,
 )
 from ehrlab.errors import DimensionMismatchError, EnumerationError
 
@@ -94,9 +92,12 @@ class TestElement:
             v.padded(2)
 
     def test_basis_and_zero(self):
-        e2 = basis_element(2, 4)
+        E = np.eye(4)
+        e2 = Element(E[1])
+        E[1, 1] = 5.0  # the element holds its own read-only copy
         assert np.array_equal(e2.coeffs, [0.0, 1.0, 0.0, 0.0])
-        assert np.array_equal(zero_element(3).coeffs, [0.0, 0.0, 0.0])
+        assert not e2.coeffs.flags.writeable
+        assert np.array_equal(Element(np.zeros(3)).coeffs, [0.0, 0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +106,7 @@ class TestElement:
 
 class TestNormValues:
     def test_lp2_zero_vector(self):
-        assert norm(NormSpec.lp(2), zero_element(4)) == 0.0
+        assert norm(NormSpec.lp(2), Element(np.zeros(4))) == 0.0
 
     def test_lp2_pythagorean(self):
         assert norm(NormSpec.lp(2), Element([3.0, 4.0])) == 5.0
@@ -205,8 +206,8 @@ class TestNormAxioms:
 class TestPairing:
     def test_biorthogonality(self):
         f = Functional(np.array([1.0]))
-        assert pair(f, basis_element(1, 3)) == 1.0
-        assert pair(f, basis_element(2, 3)) == 0.0
+        assert pair(f, Element(np.eye(3)[0])) == 1.0
+        assert pair(f, Element(np.eye(3)[1])) == 0.0
 
     def test_direct_dot(self):
         f = Functional(np.array([0.5, 0.5]))
@@ -385,6 +386,16 @@ class TestDenseRationalFamily:
             row = np.zeros(P.shape[1])
             row[: f.dim] = f.coeffs
             assert np.array_equal(P[k - 1], row[: P.shape[1]])
+
+    def test_prefix_matrix_is_built_once_and_read_only(self):
+        fam = DualFamily(mode="dense-rational", space=NormSpec.lp(2))
+        P = fam.prefix_matrix(20, 1)
+        assert P.shape == (20, 1)  # cut to the width: phi_7..phi_14 have support 2
+        assert fam.prefix_matrix(20, 1) is P
+        assert not P.flags.writeable
+        with pytest.raises(ValueError):
+            P[0, 0] = 1.0
+        assert fam.prefix_matrix(20, 5).shape == (20, 5)
 
 
 class TestJsonConstruction:

@@ -14,21 +14,21 @@ from ehrlab import (
     EnumerationError,
     NormSpec,
     ToleranceError,
-    basis_element,
-    compare_certified,
     enumerate_phi,
     norm,
     pair,
     tail_bound,
-    very_weak_distance,
     very_weak_norm,
     very_weak_norm_batch,
-    zero_element,
 )
 
 L2 = NormSpec.lp(2)
 COORD = DualFamily(mode="coordinate", space=L2)
 DENSE = DualFamily(mode="dense-rational", space=L2)
+
+
+def basis(k: int, dim: int) -> Element:
+    return Element(np.eye(dim)[k - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -63,18 +63,7 @@ class TestCertifiedValue:
 
     def test_accessors(self):
         cv = CertifiedValue(1.0, 1.5, 7)
-        assert cv.width == 0.5
-        assert cv.midpoint == 1.25
         assert cv.as_dict() == {"lo": 1.0, "hi": 1.5, "terms_used": 7}
-
-    def test_compare_tri_state(self):
-        a = CertifiedValue(0.0, 1.0, 1)
-        b = CertifiedValue(2.0, 3.0, 1)
-        assert compare_certified(a, b) == "less"
-        assert compare_certified(b, a) == "greater"
-        c = CertifiedValue(0.5, 2.5, 1)
-        assert compare_certified(a, c) == "ambiguous"
-        assert compare_certified(c, b) == "ambiguous"
 
 
 # ---------------------------------------------------------------------------
@@ -115,21 +104,21 @@ class TestTailBound:
 
 class TestCoordinateMode:
     def test_zero_vector(self):
-        cv = very_weak_norm(COORD, zero_element(5), tau=1e-6)
+        cv = very_weak_norm(COORD, Element(np.zeros(5)), tau=1e-6)
         assert cv.lo == 0.0 == cv.hi
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_basis_vectors_exact(self, n):
-        cv = very_weak_norm(COORD, basis_element(n, 8), tau=1e-12)
+        cv = very_weak_norm(COORD, basis(n, 8), tau=1e-12)
         assert cv.lo == 2.0 ** (-n) == cv.hi
 
     def test_terms_used_is_the_truncation_dim(self):
-        cv = very_weak_norm(COORD, basis_element(1, 6), tau=1e-12)
+        cv = very_weak_norm(COORD, basis(1, 6), tau=1e-12)
         assert cv.terms_used == 6
 
     def test_requires_positive_tolerance(self):
         with pytest.raises(ToleranceError):
-            very_weak_norm(COORD, basis_element(1, 2), tau=0.0)
+            very_weak_norm(COORD, basis(1, 2), tau=0.0)
 
     @given(u=small_vectors)
     @settings(max_examples=60, deadline=None)
@@ -191,7 +180,7 @@ class TestCoordinateMode:
 
 class TestDenseMode:
     def test_zero_vector(self):
-        cv = very_weak_norm(DENSE, zero_element(3), tau=1e-6)
+        cv = very_weak_norm(DENSE, Element(np.zeros(3)), tau=1e-6)
         assert cv.lo == 0.0 == cv.hi
         assert cv.terms_used == 1
 
@@ -219,7 +208,7 @@ class TestDenseMode:
 
     def test_cross_check_tolerances_nest(self):
         # tighter tolerance gives a sub-interval of the looser enclosure
-        u = basis_element(1, 2)
+        u = basis(1, 2)
         coarse = very_weak_norm(DENSE, u, tau=1e-4)
         fine = very_weak_norm(DENSE, u, tau=1e-8)
         assert coarse.lo <= fine.lo <= fine.hi <= coarse.hi
@@ -243,6 +232,20 @@ class TestDenseMode:
             assert hi[i] <= cv.hi + 1e-15
             assert lo[i] <= hi[i]
 
+    def test_h1_family_rejects_operands_wider_than_dim(self):
+        # beyond its dim an h1 member leaves the dual ball (1.0074 at dim 4
+        # on the 16-dim truncation), so the tail majorant is no bound there
+        fam = DualFamily(mode="dense-rational", space=NormSpec.sobolev_h1(1.0), dim=4)
+        lo, hi = very_weak_norm_batch(fam, np.ones((2, 4)), terms=5)
+        assert np.all(lo <= hi)
+        for _ in range(2):
+            for kw in ({"terms": 5}, {"tau": 1e-3}):
+                with pytest.raises(EnumerationError, match="truncation dim 4"):
+                    very_weak_norm_batch(fam, np.ones((2, 16)), **kw)
+        coord = DualFamily(mode="coordinate", space=NormSpec.sobolev_h1(1.0), dim=4)
+        with pytest.raises(EnumerationError, match="truncation dim 4"):
+            coord.prefix_matrix(3, 16)
+
     def test_batch_fixed_terms(self):
         rng = np.random.default_rng(3)
         U = rng.standard_normal((4, 3))
@@ -258,14 +261,15 @@ class TestDenseMode:
 # ---------------------------------------------------------------------------
 
 class TestVeryWeakDistance:
+    """The metric |u - v|_Phi the very weak norm induces."""
+
     def test_identity_of_indiscernibles(self):
         u = Element([1.0, 2.0, 3.0])
-        cv = very_weak_distance(COORD, u, u, tau=1e-9)
+        cv = very_weak_norm(COORD, u - u, tau=1e-9)
         assert cv.lo == 0.0 == cv.hi
 
     def test_e1_e2_distance(self):
-        cv = very_weak_distance(COORD, basis_element(1, 2),
-                                basis_element(2, 2), tau=1e-9)
+        cv = very_weak_norm(COORD, basis(1, 2) - basis(2, 2), tau=1e-9)
         assert cv.lo <= 0.75 <= cv.hi
         assert cv.lo == pytest.approx(0.75, abs=1e-12)
 
@@ -274,20 +278,20 @@ class TestVeryWeakDistance:
     def test_triangle_through_waypoint(self, u, v, w):
         tau = 1e-8
         eu, ev, ew = Element(u), Element(v), Element(w)
-        duv = very_weak_distance(DENSE, eu, ev, tau)
-        duw = very_weak_distance(DENSE, eu, ew, tau)
-        dwv = very_weak_distance(DENSE, ew, ev, tau)
+        duv = very_weak_norm(DENSE, eu - ev, tau)
+        duw = very_weak_norm(DENSE, eu - ew, tau)
+        dwv = very_weak_norm(DENSE, ew - ev, tau)
         assert duv.lo <= duw.hi + dwv.hi + 2 * tau
 
     def test_symmetry(self):
         u, v = Element([1.0, -2.0]), Element([0.5, 3.0])
-        a = very_weak_distance(DENSE, u, v, tau=1e-8)
-        b = very_weak_distance(DENSE, v, u, tau=1e-8)
+        a = very_weak_norm(DENSE, u - v, tau=1e-8)
+        b = very_weak_norm(DENSE, v - u, tau=1e-8)
         assert a.lo == b.lo and a.hi == b.hi
 
     def test_basis_decay_seed(self):
         # value(e_n) = 2^-n -> 0 while the strong norm stays 1
-        values = [very_weak_norm(COORD, basis_element(n, 16), tau=1e-12).lo
+        values = [very_weak_norm(COORD, basis(n, 16), tau=1e-12).lo
                   for n in range(1, 17)]
         assert values == [2.0 ** (-n) for n in range(1, 17)]
-        assert all(norm(L2, basis_element(n, 16)) == 1.0 for n in range(1, 17))
+        assert all(norm(L2, basis(n, 16)) == 1.0 for n in range(1, 17))
