@@ -30,6 +30,7 @@ import jsonschema
 from . import __version__
 from .convergence import (
     SequenceGen,
+    _counterexample_tol,
     appendix_counterexample,
     basis_sequence,
     classify,
@@ -132,8 +133,7 @@ def _sequence(sc: dict, fam) -> SequenceGen:
         return strongly_convergent_sequence(target, cfg.get("rate", 0.5),
                                             horizon or 32)
     if rule == "appendix-counterexample":
-        return counterexample_sequence(fam, horizon or 16,
-                                       cfg.get("dim_margin", 4))
+        return counterexample_sequence(fam, horizon or 16)
     if rule == "custom":
         if "elements" not in cfg:
             raise ScenarioError("custom sequence needs elements",
@@ -220,13 +220,12 @@ def _job_classify(sc):
 
 def _job_counterexample(sc):
     fam = family_from_json(sc["family"])
-    margin = sc.get("dim_margin", 4)
     entries = []
     table = [("n", "dim", "norm", "very_weak_hi", "bound")]
     for n in sc["indices"]:
-        u = appendix_counterexample(fam, n, dim_margin=margin)
+        u = appendix_counterexample(fam, n)
         got = norm(fam.space, u)
-        hi = very_weak_norm(fam, u, tau=0.5 / (n * n * max(n, 2))).hi
+        hi = very_weak_norm(fam, u, tau=_counterexample_tol(n)).hi
         entries.append({"n": n, "dim": u.dim, "norm": got,
                         "very_weak_hi": hi, "bound": 1.0 / n,
                         "coeffs": [float(x) for x in u.coeffs]})

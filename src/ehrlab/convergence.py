@@ -50,6 +50,12 @@ __all__ = [
     "custom_sequence",
 ]
 
+DIM_MARGIN = 4  # spare coordinates past N_n + n in the default dimension
+N_ENUMERATED = 32  # leading family members among the default probes
+N_RANDOM = 32  # damped random probes among the default probes
+PROBE_SEED = 0
+ENVELOPE = 0.5  # random probe coefficients are damped by ENVELOPE^k
+
 # ---------------------------------------------------------------------------
 # sequence generators
 # ---------------------------------------------------------------------------
@@ -64,7 +70,6 @@ class SequenceGen:
     target: Element | None = None
     rate: float = 0.5
     fam: DualFamily | None = None
-    dim_margin: int = 4
     elements: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -90,11 +95,9 @@ def strongly_convergent_sequence(target: Element, rate: float = 0.5,
                        dim=target.dim, target=target, rate=rate)
 
 
-def counterexample_sequence(fam: DualFamily, horizon: int = 16,
-                            dim_margin: int = 4) -> SequenceGen:
+def counterexample_sequence(fam: DualFamily, horizon: int = 16) -> SequenceGen:
     """u_n from the unbounded very-weak-null construction."""
-    return SequenceGen(rule="appendix-counterexample", horizon=horizon,
-                       fam=fam, dim_margin=dim_margin)
+    return SequenceGen(rule="appendix-counterexample", horizon=horizon, fam=fam)
 
 
 def custom_sequence(elements, target: Element | None = None) -> SequenceGen:
@@ -119,7 +122,7 @@ def term(g: SequenceGen, n: int) -> Element:
         bump[0] = g.rate ** n
         return Element(g.target.coeffs + bump)
     if g.rule == "appendix-counterexample":
-        return appendix_counterexample(g.fam, n, dim_margin=g.dim_margin)
+        return appendix_counterexample(g.fam, n)
     if g.rule == "custom":
         return g.elements[n - 1]
     raise EhrlabError(f"unknown sequence rule {g.rule!r}")
@@ -136,21 +139,25 @@ def cutoff_index(n: int) -> int:
     return (n * n).bit_length()
 
 
-def default_dim(n: int, margin: int = 4) -> int:
-    return cutoff_index(n) + n + margin
+def default_dim(n: int) -> int:
+    return cutoff_index(n) + n + DIM_MARGIN
 
 
-def appendix_counterexample(fam: DualFamily, n: int,
-                            dim_schedule=None, dim_margin: int = 4) -> Element:
+def _counterexample_tol(n: int) -> float:
+    """Enclosure width that still separates the very weak norm of u_n from 1/n."""
+    return 0.5 / (n * n * max(n, 2))
+
+
+def appendix_counterexample(fam: DualFamily, n: int, dim_schedule=None) -> Element:
     """u_n with strong norm exactly n and very weak norm certified below 1/n.
 
     dim_schedule may be an explicit dimension or a callable n -> dim; the
-    default N_n + n + margin always leaves the pairing matrix a nullspace.
+    default N_n + n + DIM_MARGIN always leaves the pairing matrix a nullspace.
     Raises NullspaceEmptyError when the requested dimension does not.
     """
     N = cutoff_index(n)
     if dim_schedule is None:
-        d = default_dim(n, dim_margin)
+        d = default_dim(n)
     elif callable(dim_schedule):
         d = int(dim_schedule(n))
     else:
@@ -179,7 +186,7 @@ def appendix_counterexample(fam: DualFamily, n: int,
     worst = float(np.abs(P @ u.coeffs).max())
     if worst > 1e-9:
         raise EhrlabError(f"annihilation check failed: residual {worst:.3g}")
-    enclosure = very_weak_norm(fam, u, tau=0.5 / (n * n * max(n, 2)))
+    enclosure = very_weak_norm(fam, u, tau=_counterexample_tol(n))
     if not enclosure.hi < 1.0 / n:
         raise EhrlabError(
             f"very weak norm bound failed: hi={enclosure.hi} vs 1/{n}")
@@ -190,25 +197,23 @@ def appendix_counterexample(fam: DualFamily, n: int,
 # probes and classification
 # ---------------------------------------------------------------------------
 
-def default_probes(fam: DualFamily, dim: int, n_enumerated: int = 32,
-                   n_random: int = 32, seed: int = 0,
-                   envelope: float = 0.5) -> list[Functional]:
+def default_probes(fam: DualFamily, dim: int) -> list[Functional]:
     """Deterministic probe set: enumeration prefix plus damped random probes.
 
     The random probes draw Gaussian coefficients under a geometric envelope
-    (envelope^k on coordinate k) and are rescaled into the dual unit ball.
+    (ENVELOPE^k on coordinate k) and are rescaled into the dual unit ball.
     The envelope makes their overlap with deep coordinates decay, so a
     genuinely weakly-null sequence registers as such at a finite horizon.
     """
     probes = []
-    for k in range(1, n_enumerated + 1):
+    for k in range(1, N_ENUMERATED + 1):
         try:
             probes.append(enumerate_phi(fam, k))
         except EhrlabError:
             break
-    rng = np.random.default_rng(seed)
-    damp = envelope ** np.arange(1, dim + 1)
-    for _ in range(n_random):
+    rng = np.random.default_rng(PROBE_SEED)
+    damp = ENVELOPE ** np.arange(1, dim + 1)
+    for _ in range(N_RANDOM):
         probes.append(normalized_functional(
             fam.space, rng.standard_normal(dim) * damp))
     return probes
@@ -244,8 +249,8 @@ def _trailing(values: list) -> list:
     return values[len(values) // 2:]
 
 
-def classify(g: SequenceGen, fam: DualFamily, probes=None, tol: float = 1e-3,
-             tau: float | None = None) -> ModeReport:
+def classify(g: SequenceGen, fam: DualFamily, probes=None,
+             tol: float = 1e-3) -> ModeReport:
     """Classify the convergence mode supported by the sequence data.
 
     Thresholds, all on the trailing half of the horizon: strong when the
@@ -254,12 +259,12 @@ def classify(g: SequenceGen, fam: DualFamily, probes=None, tol: float = 1e-3,
     strong residual stays above 10*tol; very-weak-only when the very weak
     enclosure stays below tol while the norms exceed 1/tol. Data between
     thresholds yields the weakest consistent verdict plus a diagnostic flag.
+    The very weak enclosures are taken to width tol / 100.
     """
     if tol <= 0.0:
         raise ToleranceError(f"tol must be positive, got {tol}")
-    tau = tol / 100.0 if tau is None else tau
 
-    limit = g.target if g.target is not None else None
+    limit = g.target
     terms = [term(g, n) for n in range(1, g.horizon + 1)]
     width = max(e.dim for e in terms)
     if probes is None:
@@ -273,7 +278,7 @@ def classify(g: SequenceGen, fam: DualFamily, probes=None, tol: float = 1e-3,
         norms.append(norm(fam.space, u))
         strong_res.append(norm(fam.space, w))
         weak_res.append(max(abs(pair(f, w)) for f in probes))
-        vw.append(very_weak_norm(fam, w, tau))
+        vw.append(very_weak_norm(fam, w, tol / 100.0))
 
     flags = []
     t_strong = max(_trailing(strong_res))
@@ -295,11 +300,9 @@ def classify(g: SequenceGen, fam: DualFamily, probes=None, tol: float = 1e-3,
         else:
             verdict = "strong"
     elif bounded and t_weak < tol and t_vw < tol:
-        if t_strong >= 10.0 * tol:
-            verdict = "weak-not-strong"
-        else:
+        if t_strong < 10.0 * tol:
             flags.append("strong residual inside the guard band [tol, 10*tol)")
-            verdict = "weak-not-strong"
+        verdict = "weak-not-strong"
     elif unbounded_trend and t_vw < tol:
         verdict = "very-weak-only"
     elif bounded:
@@ -318,12 +321,11 @@ def implication_suite(g: SequenceGen, fam: DualFamily, probes=None,
                       tol: float = 1e-3) -> dict:
     """Check strong => weak => very-weak step by step on the sequence data.
 
-    Probe functionals live in the dual unit ball, so |<phi, w>| <= ||w|| and
-    the very weak upper bound obeys hi <= ||w|| + tail slack; a violation of
-    either is a bug report, not a mathematical finding.
+    Probe functionals and family members live in the dual unit ball, so
+    |<phi, w>| <= ||w|| and the very weak lower bound obeys lo <= ||w||; a
+    violation of either is a bug report, not a mathematical finding.
     """
     report = classify(g, fam, probes=probes, tol=tol)
-    tau = tol / 100.0
     violations = []
     for i, (s, w, cv) in enumerate(zip(report.strong_residuals,
                                        report.weak_residuals,
@@ -331,9 +333,9 @@ def implication_suite(g: SequenceGen, fam: DualFamily, probes=None,
         if w > s + 1e-9:
             violations.append(
                 f"step {i}: probe residual {w:.3g} exceeds norm residual {s:.3g}")
-        if cv.hi > s + tau + 1e-9:
+        if cv.lo > s + 1e-9:
             violations.append(
-                f"step {i}: very weak bound {cv.hi:.3g} exceeds norm residual {s:.3g}")
+                f"step {i}: very weak lower bound {cv.lo:.3g} exceeds norm residual {s:.3g}")
     return {
         "ok": not violations,
         "violations": violations,

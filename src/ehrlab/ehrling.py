@@ -37,6 +37,8 @@ from .optimize import (
     NormHandle,
     OptimizerSettings,
     SamplerSettings,
+    _quotient,
+    _quotient_grad,
     _unit,
     ball_points,
     bisect_modulus,
@@ -179,12 +181,9 @@ def _norm_cap(norm_x: NormSpec, norm1: NormHandle, dim: int,
 
 def _handles(T: LinearOperator, norm1, norm2, dim: int, opt: OptimizerSettings):
     h1 = norm_handle(norm1)
-    fam = norm2
-    if isinstance(norm2, NormSpec) and norm2.kind == "very-weak":
-        fam = norm2.family
     cap = 1.0  # coordinate enclosures are exact and read no term count
-    if isinstance(fam, DualFamily) and fam.mode != "coordinate":
-        cap = _norm_cap(fam.space, h1, dim, opt)
+    if isinstance(norm2, DualFamily) and norm2.mode != "coordinate":
+        cap = _norm_cap(norm2.space, h1, dim, opt)
     h2 = norm_handle(norm2, norm_cap=cap)
     return h1, h2, operator_handle((T,), T.codomain)
 
@@ -208,20 +207,6 @@ def _unit_grad(h1: NormHandle, V: np.ndarray):
     s = np.where(n1 > 0.0, n1, 1.0)[:, None]
     W = V / s
     return W, lambda Gw: (Gw - (Gw * W).sum(axis=1)[:, None] * g1) / s
-
-
-def _quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num / den, with +-inf where den vanishes and -inf in place of NaN."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(den > 0.0, num / den, np.where(num > 0.0, np.inf, -np.inf))
-    return np.where(np.isnan(r), -np.inf, r)
-
-
-def _quotient_grad(r: np.ndarray, gnum: np.ndarray, den: np.ndarray,
-                   gden: np.ndarray) -> np.ndarray:
-    """Gradient of r = num / den; rows with den = 0 come out non-finite."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (gnum - r[:, None] * gden) / den[:, None]
 
 
 def _witness(hy: NormHandle, h1: NormHandle, h2: NormHandle, u: np.ndarray,

@@ -118,9 +118,17 @@ def as_matrix(T: LinearOperator, dim: int) -> np.ndarray:
 # constructors
 # ---------------------------------------------------------------------------
 
+def _array(values, what: str) -> np.ndarray:
+    """A float copy of values; ragged or non-numeric input is an InvalidElementError."""
+    try:
+        return np.array(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidElementError(f"{what}: {exc}") from exc
+
+
 def make_diagonal(lam, domain: NormSpec, codomain: NormSpec) -> LinearOperator:
     """Diagonal operator from a coefficient prefix (zero-extended beyond it)."""
-    arr = np.asarray(lam, dtype=np.float64).copy()
+    arr = _array(lam, "diagonal coefficients")
     if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
         raise InvalidElementError("diagonal coefficients must be a finite 1-d vector")
     arr.flags.writeable = False
@@ -131,7 +139,7 @@ def make_diagonal(lam, domain: NormSpec, codomain: NormSpec) -> LinearOperator:
 
 
 def make_dense(matrix, domain: NormSpec, codomain: NormSpec) -> LinearOperator:
-    M = np.asarray(matrix, dtype=np.float64).copy()
+    M = _array(matrix, "dense matrix")
     if M.ndim != 2 or M.size == 0 or not np.all(np.isfinite(M)):
         raise InvalidElementError("dense operator needs a finite 2-d matrix")
     M.flags.writeable = False
@@ -147,7 +155,7 @@ def make_kernel(samples, spacing: float, domain: NormSpec,
 
     (Tu)_i = spacing * sum_j K(x_i, y_j) u_j.
     """
-    K = np.asarray(samples, dtype=np.float64).copy()
+    K = _array(samples, "kernel samples")
     if K.ndim != 2 or K.shape[0] != K.shape[1] or K.size == 0 or not np.all(np.isfinite(K)):
         raise InvalidElementError("kernel samples must form a finite square matrix")
     spacing = float(spacing)
@@ -186,7 +194,10 @@ def make_sobolev_embedding(d: int, h: float) -> LinearOperator:
 def kernel_from_csv(path, spacing: float, domain: NormSpec,
                     codomain: NormSpec) -> LinearOperator:
     """Kernel operator from a CSV file of row-major grid samples."""
-    K = np.loadtxt(path, delimiter=",", ndmin=2)
+    try:
+        K = np.loadtxt(path, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise InvalidElementError(f"kernel CSV {path}: {exc}") from exc
     return make_kernel(K, spacing, domain, codomain)
 
 

@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 STEP_INIT = 0.25  # initial ascent step of every start
+ENCLOSURE_TOL = 1e-10  # tail majorant of every family handle on its norm cap
 BISECT_REL_WIDTH = 1e-3  # the modulus bisection stops at this relative bracket width
 
 
@@ -120,8 +121,8 @@ class _SpecHandle(NormHandle):
 class _FamilyHandle(NormHandle):
     """Very weak norm through a fixed-term enclosure.
 
-    The term count is frozen up front (from the enclosure tolerance and a cap
-    on the strong norms the search will see) so that both bounds are exactly
+    The term count is frozen up front (from a tolerance and a cap on the
+    strong norms the search will see) so that both bounds are exactly
     positively homogeneous; the tail majorant stays valid for every argument
     regardless of the cap. The gradient of lo is sum_k 2^-k sign<phi_k,u> phi_k
     (w * sign(u) in coordinate mode); hi adds 2^-M times the strong-norm
@@ -197,15 +198,11 @@ class _OperatorHandle(NormHandle):
     hi_grad = lo_grad
 
 
-def norm_handle(obj, *, enclosure_tol: float = 1e-10, norm_cap: float = 1.0) -> NormHandle:
-    """Wrap a NormSpec or DualFamily (or pass a handle through) for batched use."""
-    if isinstance(obj, NormHandle):
-        return obj
+def norm_handle(obj, *, norm_cap: float = 1.0) -> NormHandle:
+    """Wrap a NormSpec or DualFamily for batched use."""
     if isinstance(obj, DualFamily):
-        return _FamilyHandle(obj, enclosure_tol, norm_cap)
+        return _FamilyHandle(obj, ENCLOSURE_TOL, norm_cap)
     if isinstance(obj, NormSpec):
-        if obj.kind == "very-weak":
-            return _FamilyHandle(obj.family, obj.tolerance, norm_cap)
         return _SpecHandle(obj)
     raise ToleranceError(f"cannot build a norm handle from {type(obj).__name__}")
 
@@ -325,25 +322,30 @@ def maximize_direction(objective, dim: int, opt: OptimizerSettings,
     return float(pool_vals[j]), pool[j].copy()
 
 
+def _quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, with +-inf where den vanishes and -inf in place of NaN."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(den > 0.0, num / den, np.where(num > 0.0, np.inf, -np.inf))
+    return np.where(np.isnan(r), -np.inf, r)
+
+
+def _quotient_grad(r: np.ndarray, gnum: np.ndarray, den: np.ndarray,
+                   gden: np.ndarray) -> np.ndarray:
+    """Gradient of r = num / den; rows with den = 0 come out non-finite."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (gnum - r[:, None] * gden) / den[:, None]
+
+
 def ratio_objective(num: NormHandle, den: NormHandle):
-    """num.lo / den.hi as a search pair (value, value-and-gradient).
-
-    Rows where den vanishes, or the quotient is not finite, read 0.
-    """
-
-    def ratio(a, b):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(b > 0.0, a / b, 0.0)
-        return np.where(np.isfinite(r), r, 0.0)
+    """num.lo / den.hi as a search pair (value, value-and-gradient)."""
 
     def f(V):
-        return ratio(num.lo(V), den.hi(V))
+        return _quotient(num.lo(V), den.hi(V))
 
     def fg(V):
         (a, ga), (b, gb) = num.lo_grad(V), den.hi_grad(V)
-        r = ratio(a, b)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return r, (ga - r[:, None] * gb) / b[:, None]
+        r = _quotient(a, b)
+        return r, _quotient_grad(r, ga, b, gb)
 
     return f, fg
 

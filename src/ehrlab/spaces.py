@@ -6,7 +6,7 @@ canonical basis; operands of different lengths are reconciled by zero
 padding, which is exactly the canonical embedding of a truncation into any
 larger one.
 
-Four norm kinds are supported:
+Three strong norm kinds are supported:
 
 * ``lp(p)``            -- (sum |u_i|^p)^(1/p), max for p = inf;
 * ``weighted-lp``      -- (sum (w_i |u_i|)^p)^(1/p), weights strictly positive
@@ -15,10 +15,10 @@ Four norm kinds are supported:
 * ``sobolev-h1``       -- discrete first-order Sobolev norm on a uniform grid
                           with spacing h and zero boundary on both ends:
                           norm^2 = sum_i h u_i^2 + sum_{i=0..d} h ((u_{i+1}-u_i)/h)^2
-                          with u_0 = u_{d+1} = 0;
-* ``very-weak``        -- the weighted series of pairing magnitudes against a
-                          dual family (evaluated through its certified upper
-                          bound; see the veryweak module for the enclosure).
+                          with u_0 = u_{d+1} = 0.
+
+The very weak norm is named by its dual family alone; the veryweak module
+evaluates its certified enclosure.
 
 A dual family enumerates functionals phi_1, phi_2, ... from the dual unit
 ball. Coordinate mode yields normalized coordinate functionals; dense-rational
@@ -118,7 +118,7 @@ class Element:
 # norm specifications
 # ---------------------------------------------------------------------------
 
-_KINDS = ("lp", "weighted-lp", "sobolev-h1", "very-weak")
+_KINDS = ("lp", "weighted-lp", "sobolev-h1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,8 +129,6 @@ class NormSpec:
     p: float | None = None
     weights: np.ndarray | None = None
     h: float | None = None
-    family: "DualFamily | None" = None
-    tolerance: float | None = None
     label: str = ""
 
     def __post_init__(self):
@@ -144,9 +142,7 @@ class NormSpec:
             return f"lp({self.p:g})" if math.isfinite(self.p) else "lp(inf)"
         if self.kind == "weighted-lp":
             return f"weighted-lp({self.p:g})[d={self.weights.size}]"
-        if self.kind == "sobolev-h1":
-            return f"sobolev-h1(h={self.h:g})"
-        return f"very-weak({self.family.mode})"
+        return f"sobolev-h1(h={self.h:g})"
 
     # -- constructors ------------------------------------------------------
 
@@ -174,13 +170,6 @@ class NormSpec:
         if not (h > 0.0 and math.isfinite(h)):
             raise UnsupportedNormError(f"grid spacing must be positive, got {h}")
         return cls(kind="sobolev-h1", h=h)
-
-    @classmethod
-    def very_weak(cls, family: "DualFamily", tolerance: float) -> "NormSpec":
-        tolerance = float(tolerance)
-        if tolerance <= 0.0:
-            raise UnsupportedNormError("very-weak norm needs a positive tolerance")
-        return cls(kind="very-weak", family=family, tolerance=tolerance)
 
 
 def _conjugate(p: float) -> float:
@@ -222,11 +211,6 @@ def norm_batch(ns: NormSpec, U: np.ndarray) -> np.ndarray:
         padded[:, 1:-1] = U
         diffs = np.diff(padded, axis=1)
         return np.sqrt(h * (U * U).sum(axis=1) + (diffs * diffs).sum(axis=1) / h)
-    if ns.kind == "very-weak":
-        from . import veryweak
-
-        lo, hi = veryweak.very_weak_norm_batch(ns.family, U, tau=ns.tolerance)
-        return hi
     raise UnsupportedNormError(ns.kind)
 
 
@@ -268,12 +252,7 @@ def _norm_grad(ns: NormSpec, U: np.ndarray, N: np.ndarray) -> np.ndarray:
 
 
 def norm(ns: NormSpec, u: Element) -> float:
-    """Norm of u under ns.
-
-    For the very-weak kind this returns the certified upper bound at the
-    spec's configured tolerance; use veryweak.very_weak_norm for the full
-    two-sided enclosure.
-    """
+    """Norm of u under ns."""
     return float(norm_batch(ns, u.coeffs[None, :])[0])
 
 
@@ -428,8 +407,6 @@ class DualFamily:
     def __post_init__(self):
         if self.mode not in ("coordinate", "dense-rational"):
             raise EnumerationError(f"unknown family mode {self.mode!r}")
-        if self.space.kind == "very-weak":
-            raise UnsupportedNormError("a dual family needs a strong norm space")
         if self.space.kind in ("weighted-lp", "sobolev-h1") and self.dim is None:
             if self.space.kind == "weighted-lp":
                 self.dim = int(self.space.weights.size)
@@ -536,8 +513,6 @@ def normspec_from_json(obj: dict) -> NormSpec:
         return NormSpec.weighted_lp(obj["p"], obj["weights"])
     if kind == "sobolev-h1":
         return NormSpec.sobolev_h1(obj["h"])
-    if kind == "very-weak":
-        return NormSpec.very_weak(family_from_json(obj["family"]), obj["tolerance"])
     raise UnsupportedNormError(f"unknown norm kind {kind!r}")
 
 

@@ -106,8 +106,6 @@ SCHEMA_EXAMPLES = {
         "lp": {"kind": "lp", "p": "inf"},
         "weighted-lp": {"kind": "weighted-lp", "p": 2, "weights": [1.0, 2.0]},
         "sobolev-h1": {"kind": "sobolev-h1", "h": 0.5},
-        "very-weak": {"kind": "very-weak", "family": {"mode": "coordinate"},
-                      "tolerance": 1e-8},
     }),
     "family": ("mode", {
         "coordinate": {"mode": "coordinate"},
@@ -161,6 +159,26 @@ class TestSchemaMatchesLibrary:
                                ("sampler", SamplerSettings)):
             assert set(defs[name]["properties"]) <= {f.name for f in fields(settings)}
 
+    def test_every_object_with_properties_is_closed(self):
+        # an object that lists its keys must reject the rest, so a removed or
+        # misspelt key fails validation instead of being silently ignored;
+        # the if conditions only test a key and stay open
+        open_objects = []
+
+        def walk(node, path):
+            if isinstance(node, dict):
+                if "properties" in node and node.get("additionalProperties") is not False:
+                    open_objects.append(path or "/")
+                for key, child in node.items():
+                    if key != "if":
+                        walk(child, f"{path}/{key}")
+            elif isinstance(node, list):
+                for i, child in enumerate(node):
+                    walk(child, f"{path}/{i}")
+
+        walk(cli._schema(), "")
+        assert open_objects == []
+
 
 # ---------------------------------------------------------------------------
 # exit codes through main()
@@ -180,15 +198,43 @@ class TestExitCodes:
     def test_removed_keys_fail_validation_by_pointer(self, tmp_path, capsys):
         base = {"job": "certify", "operator": {"kind": "diagonal", "lambda": [0.5]},
                 "norm1": {"kind": "lp", "p": 2}, "norm2": {"mode": "coordinate"}}
-        for section, key, value in (("operator", "cc_status", "cc"),
-                                    ("sampler", "include_basis", True),
-                                    ("budget", "step_init", 0.25),
-                                    ("budget", "bisect_rel_width", 1e-3)):
-            doc = json.loads(json.dumps(base))
-            doc.setdefault(section, {})[key] = value
+        classify = {"job": "classify", "family": {"mode": "coordinate"},
+                    "sequence": {"rule": "appendix-counterexample"}}
+        # (document, section or None for the root, key, value, expected message)
+        cases = [(base, "operator", "cc_status", "cc", "/operator: Additional properties"),
+                 (base, "sampler", "include_basis", True, "/sampler: Additional properties"),
+                 (base, "budget", "step_init", 0.25, "/budget: Additional properties"),
+                 (base, "budget", "bisect_rel_width", 1e-3, "/budget: Additional properties"),
+                 (base, None, "dim_margin", 4, "/: Additional properties"),
+                 (base, None, "eps_gird", [0.1], "/: Additional properties"),
+                 (classify, "sequence", "dim_margin", 4, "/sequence: Additional properties"),
+                 (base, None, "norm2", {"kind": "very-weak", "family": {"mode": "coordinate"},
+                                        "tolerance": 1e-8}, "/norm2: ")]
+        for doc, section, key, value, message in cases:
+            doc = json.loads(json.dumps(doc))
+            (doc if section is None else doc.setdefault(section, {}))[key] = value
             p = write_scenario(tmp_path, doc)
             assert main(["run", str(p), "--output-dir", str(tmp_path)]) == 1
-            assert f"/{section}: Additional properties" in capsys.readouterr().err
+            assert message in capsys.readouterr().err, (section, key)
+
+    @pytest.mark.parametrize("operator", [
+        {"kind": "dense", "matrix": [[1.0, 0.0], [0.5]]},
+        {"kind": "kernel", "samples": [[1.0, 0.5], [0.5]], "spacing": 0.5},
+        {"kind": "kernel", "csv": "missing-kernel.csv", "spacing": 0.5},
+    ], ids=["ragged-matrix", "ragged-samples", "missing-csv"])
+    def test_malformed_operator_exits_1_without_traceback(self, tmp_path, operator):
+        doc = {"job": "certify", "operator": operator, "norm1": {"kind": "lp", "p": 2},
+               "norm2": {"mode": "coordinate"}}
+        p = write_scenario(tmp_path, doc)
+        paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(q for q in paths if q))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ehrlab", "run", str(p), "--output-dir", str(tmp_path)],
+            capture_output=True, text=True, cwd=tmp_path, env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("InvalidElementError: ")
+        assert "Traceback" not in proc.stderr
 
     def test_norm_job_exits_0(self, tmp_path):
         rc = main(["run", str(SCENARIOS / "norm_e3.json"),

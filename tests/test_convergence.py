@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ehrlab import (
+    CertifiedValue,
     DimensionMismatchError,
     DualFamily,
     EhrlabError,
@@ -29,6 +30,7 @@ from ehrlab import (
     term,
     very_weak_norm,
 )
+from ehrlab import convergence
 
 L2 = NormSpec.lp(2)
 COORD = DualFamily(mode="coordinate", space=L2)
@@ -155,8 +157,8 @@ class TestAppendixConstruction:
     def test_explicit_schedules(self):
         u = appendix_counterexample(COORD, 3, dim_schedule=12)
         assert u.dim == 12
-        v = appendix_counterexample(COORD, 3, dim_schedule=lambda n: default_dim(n, 8))
-        assert v.dim == default_dim(3, 8)
+        v = appendix_counterexample(COORD, 3, dim_schedule=lambda n: default_dim(n) + 4)
+        assert v.dim == default_dim(3) + 4
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +261,18 @@ class TestImplicationSuite:
         out = implication_suite(make(), COORD)
         assert out["ok"], out["violations"]
         assert out["violations"] == []
+
+    def test_very_weak_bound_above_the_norm_is_reported(self, monkeypatch):
+        # no dual-ball family can do this: lo above ||w|| must be flagged
+        def inflated(fam, w, tau):
+            s = norm(fam.space, w)
+            return CertifiedValue(lo=2.0 * s + 1.0, hi=2.0 * s + 1.0, terms_used=1)
+
+        monkeypatch.setattr(convergence, "very_weak_norm", inflated)
+        out = implication_suite(basis_sequence(4), COORD)
+        assert not out["ok"]
+        assert len(out["violations"]) == 4
+        assert all("very weak lower bound" in v for v in out["violations"])
 
     def test_reports_verdict_and_steps(self):
         out = implication_suite(basis_sequence(16), COORD)

@@ -23,7 +23,7 @@ from ehrlab import (
     operator_from_json,
     very_weak_norm,
 )
-from ehrlab.errors import DimensionMismatchError, UnsupportedNormError
+from ehrlab.errors import DimensionMismatchError, InvalidElementError, UnsupportedNormError
 
 L2 = NormSpec.lp(2)
 
@@ -240,3 +240,22 @@ class TestConstructionFromConfig:
     def test_unknown_kind(self):
         with pytest.raises(UnsupportedNormError):
             operator_from_json({"kind": "unitary"})
+
+    def test_missing_kernel_csv(self, tmp_path):
+        with pytest.raises(InvalidElementError, match="not found"):
+            kernel_from_csv(tmp_path / "absent.csv", spacing=0.5, domain=L2, codomain=L2)
+
+    def test_ragged_kernel_csv(self, tmp_path):
+        p = tmp_path / "kernel.csv"
+        p.write_text("1.0,2.0\n3.0\n")
+        with pytest.raises(InvalidElementError, match="kernel CSV"):
+            kernel_from_csv(p, spacing=0.5, domain=L2, codomain=L2)
+
+    def test_ragged_dense_matrix(self):
+        with pytest.raises(InvalidElementError, match="dense matrix"):
+            operator_from_json({"kind": "dense", "matrix": [[1.0, 0.0], [0.5]]})
+
+    def test_ragged_kernel_samples(self):
+        with pytest.raises(InvalidElementError, match="kernel samples"):
+            operator_from_json({"kind": "kernel", "samples": [[1.0, 0.5], [0.5]],
+                                "spacing": 0.5})

@@ -1,6 +1,8 @@
 """The public API: what `ehrlab` and its modules export, and what they no longer do."""
 
+import ast
 import importlib
+import inspect
 from dataclasses import fields
 
 import pytest
@@ -21,6 +23,21 @@ REMOVED_ATTRIBUTES = (
     (ehrlab.CertifiedValue, "midpoint"),
     (ehrlab.CertifiedValue, "width"),
     (ehrlab.EhrlingCertificate, "row"),
+    # the very weak norm is named by a DualFamily only
+    (ehrlab.NormSpec, "very_weak"),
+)
+# settings that no caller varied, now module constants: callable -> parameters
+REMOVED_PARAMETERS = {
+    "optimize.norm_handle": ("enclosure_tol",),
+    "convergence.classify": ("tau",),
+    "convergence.default_probes": ("n_enumerated", "n_random", "seed", "envelope"),
+    "convergence.appendix_counterexample": ("dim_margin",),
+    "convergence.counterexample_sequence": ("dim_margin",),
+    "convergence.default_dim": ("margin",),
+}
+REMOVED_FIELDS = (
+    (ehrlab.NormSpec, ("family", "tolerance")),
+    (ehrlab.SequenceGen, ("dim_margin",)),
 )
 
 API_SIZE = 66
@@ -54,3 +71,25 @@ def test_unvaried_settings_are_constants():
     names = [f.name for f in fields(ehrlab.OptimizerSettings)]
     assert "step_init" not in names and "bisect_rel_width" not in names
     assert len(names) == 7
+
+
+def test_removed_parameters_and_fields_are_gone():
+    for path, params in REMOVED_PARAMETERS.items():
+        module, name = path.split(".")
+        fn = getattr(importlib.import_module(f"ehrlab.{module}"), name)
+        present = set(inspect.signature(fn).parameters) & set(params)
+        assert present == set(), path
+    for owner, names in REMOVED_FIELDS:
+        assert {f.name for f in fields(owner)}.isdisjoint(names), owner.__name__
+
+
+def test_spaces_does_not_import_veryweak():
+    tree = ast.parse(inspect.getsource(importlib.import_module("ehrlab.spaces")))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+    assert not any("veryweak" in name for name in imported), imported

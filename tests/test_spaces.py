@@ -250,12 +250,6 @@ class TestDualNorm:
         got = dual_norm(NormSpec.sobolev_h1(0.5), f)
         assert got == pytest.approx(riesz_dual_oracle(0.5, f), rel=1e-12)
 
-    def test_very_weak_kind_unsupported(self):
-        fam = DualFamily(mode="coordinate", space=NormSpec.lp(2))
-        ns = NormSpec.very_weak(fam, 1e-8)
-        with pytest.raises(UnsupportedNormError):
-            dual_norm(ns, np.array([1.0]))
-
     @pytest.mark.parametrize("ns", NORM_GALLERY, ids=lambda n: n.label)
     @given(f=vectors, u=vectors)
     @settings(max_examples=40, deadline=None)
