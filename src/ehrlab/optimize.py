@@ -280,7 +280,6 @@ def maximize_direction(objective, dim: int, opt: OptimizerSettings,
 
     n = V.shape[0]
     steps = np.full(n, STEP_INIT)
-    eye = np.eye(dim)
 
     for _ in range(opt.iterations):
         # rows scaled to unit max-entry first, so squaring cannot overflow
@@ -304,7 +303,7 @@ def maximize_direction(objective, dim: int, opt: OptimizerSettings,
     lead_vals = vals[order].copy()
     radius = 0.1
     for _ in range(opt.polish_rounds):
-        cands = (leaders[:, None, :] + radius * np.vstack([eye, -eye])[None, :, :])
+        cands = leaders[:, None, :] + radius * axes[None, :, :]
         cands = cands.reshape(-1, dim)
         cv = objective(_unit_rows(cands)).reshape(len(leaders), 2 * dim)
         best_j = cv.argmax(axis=1)
