@@ -311,8 +311,8 @@ def _certify_rows(hy, h1, h2, eps_grid, dim, opt, sampler):
     sample = _sample(hy, h1, h2, ball_points(sampler, dim, h1))
     rows = []
     pools = []
-    for eps in eps_sorted:
-        delta, pool = bisect_modulus(hy, h1, h2, eps, dim, opt)
+    moduli = bisect_modulus(hy, h1, h2, eps_sorted, dim, opt)
+    for eps, (delta, pool) in zip(eps_sorted, moduli):
         C = eps / delta
         # hardening: shrink delta until the residual attack comes back empty
         for _ in range(opt.harden_rounds):

@@ -387,57 +387,75 @@ def _restricted_sup(hy: NormHandle, norm1: NormHandle, norm2: NormHandle,
     return maximize_direction(f, dim, opt, extra_starts=warm, value_and_grad=fg)
 
 
-def bisect_modulus(hy: NormHandle, norm1: NormHandle, norm2: NormHandle, eps: float,
+def bisect_modulus(hy: NormHandle, norm1: NormHandle, norm2: NormHandle, eps_grid,
                    dim: int, opt: OptimizerSettings):
-    """Largest delta (to relative width BISECT_REL_WIDTH) with sup hy <= eps.
+    """Largest delta (to relative width BISECT_REL_WIDTH) with sup hy <= eps,
+    for every eps of eps_grid.
 
     hy is the objective seminorm (u -> ||Tu||_Y in the forward inequality);
-    the sup runs over {norm1(u) <= 1, norm2(u) <= delta}. Returns
-    (delta, witnesses): the maximizer of every predicate's search, a pool
-    the verification reuses. When the upper search bound itself satisfies
-    the predicate (the constraint never binds) it is returned as delta.
+    the sup runs over {norm1(u) <= 1, norm2(u) <= delta}. Returns one
+    (delta, witnesses) per eps, in grid order: the maximizer of every
+    predicate's search on the way to that delta, a pool the verification
+    reuses. When the upper search bound itself satisfies the predicate (the
+    constraint never binds) it is returned as delta.
+
+    Nothing before the bisection depends on eps: the upper search bound and
+    the geometric descent bound, bound/16, ... (each search warm-started from
+    the one before) run once per call, and every row walks the same chain,
+    so a grid call returns exactly what one-eps calls return.
     """
-    if eps <= 0.0:
-        raise ToleranceError(f"eps must be positive, got {eps}")
+    eps_grid = [float(e) for e in eps_grid]
+    for eps in eps_grid:
+        if not eps > 0.0:
+            raise ToleranceError(f"eps must be positive, got {eps}")
 
     # upper search bound: sup norm2 over the norm1 unit ball
     f, fg = ratio_objective(norm2, norm1)
     bound, _ = maximize_direction(f, dim, opt, value_and_grad=fg)
     bound = max(bound, opt.delta_floor)
 
-    witnesses = []
-
     def predicate(delta, warm):
-        val, w = _restricted_sup(hy, norm1, norm2, delta, dim, opt, warm)
-        witnesses.append(w)
-        return val <= eps, val, w
+        return _restricted_sup(hy, norm1, norm2, delta, dim, opt, warm)
 
-    ok, val, w = predicate(bound, None)
-    if ok:
-        return bound, witnesses
+    chain = []  # (delta, sup, maximizer) at bound, bound/16, ... down to the floor
 
-    # geometric descent to bracket, then log-space bisection
-    hi_d, lo_d = bound, None
-    delta = bound
-    warm = w[None, :]
-    while delta > opt.delta_floor:
-        delta = max(delta / 16.0, opt.delta_floor)
-        ok, val, w = predicate(delta, warm)
+    def link(k):
+        while len(chain) <= k:
+            if chain:
+                prev, _, w = chain[-1]
+                delta, warm = max(prev / 16.0, opt.delta_floor), w[None, :]
+            else:
+                delta, warm = bound, None
+            chain.append((delta, *predicate(delta, warm)))
+        return chain[k]
+
+    out = []
+    for eps in eps_grid:
+        # descend the shared chain to the first delta whose predicate holds
+        k = 0
+        while True:
+            delta, val, w = link(k)
+            if val <= eps:
+                break
+            if delta <= opt.delta_floor:
+                raise NoModulusError(eps, opt.delta_floor, val)
+            k += 1
+        witnesses = [c[2] for c in chain[:k + 1]]
+        if k == 0:
+            out.append((bound, witnesses))
+            continue
+
+        # log-space bisection of [chain k, chain k-1]
+        lo_d, hi_d = delta, chain[k - 1][0]
         warm = w[None, :]
-        if ok:
-            lo_d = delta
-            break
-        hi_d = delta
-    if lo_d is None:
-        raise NoModulusError(eps, opt.delta_floor, val)
-
-    while hi_d / lo_d > 1.0 + BISECT_REL_WIDTH:
-        mid = float(np.sqrt(lo_d * hi_d))
-        ok, val, w = predicate(mid, warm)
-        warm = w[None, :]
-        if ok:
-            lo_d = mid
-        else:
-            hi_d = mid
-    return lo_d, witnesses
-
+        while hi_d / lo_d > 1.0 + BISECT_REL_WIDTH:
+            mid = float(np.sqrt(lo_d * hi_d))
+            val, w = predicate(mid, warm)
+            witnesses.append(w)
+            warm = w[None, :]
+            if val <= eps:
+                lo_d = mid
+            else:
+                hi_d = mid
+        out.append((lo_d, witnesses))
+    return out

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ehrlab import (
     falsify,
     make_dense,
     make_diagonal,
+    make_kernel,
     make_shift,
     make_sobolev_embedding,
     norm,
@@ -31,7 +33,8 @@ from ehrlab import (
     verify_certificate,
     very_weak_norm,
 )
-from ehrlab import ehrling
+from ehrlab import ehrling, optimize
+from ehrlab.cli import load_scenario, run
 from ehrlab.errors import DimensionMismatchError
 from ehrlab.optimize import NormHandle, norm_handle, operator_handle
 
@@ -40,6 +43,7 @@ COORD3 = DualFamily(mode="coordinate", space=L2, dim=3)
 GALLERY_LAM3 = [1.0, 0.5, 0.25]
 
 FAST = OptimizerSettings(n_starts=24, iterations=40, polish_rounds=15)
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +99,8 @@ def oracle_modulus(lam, eps: float, n: int = 400) -> float:
 
 def modulus(T, norm1, norm2, eps: float, opt: OptimizerSettings, dim: int) -> float:
     """bisect_modulus on the handles certify builds for a coordinate or strong norm2."""
-    delta, _ = bisect_modulus(operator_handle((T,), T.codomain), norm_handle(norm1),
-                              norm_handle(norm2), eps, dim, opt)
+    ((delta, _),) = bisect_modulus(operator_handle((T,), T.codomain), norm_handle(norm1),
+                                   norm_handle(norm2), (eps,), dim, opt)
     return delta
 
 
@@ -137,6 +141,66 @@ class TestModulus:
         assert exc.value.eps == 0.5
         assert exc.value.delta_floor == 1e-2
         assert exc.value.sup_at_floor > 0.5
+
+
+def gallery(d: int = 8) -> dict:
+    """Diagonal, dense and kernel operators whose modulus binds on most of
+    the default grid (the diagonal's eps = 1 row does not bind)."""
+    rng = np.random.default_rng(5)
+    K = np.exp(-np.abs(np.subtract.outer(np.arange(d), np.arange(d))) / 3.0)
+    return {
+        "diagonal": make_diagonal(2.0 ** -np.arange(d), L2, L2),
+        "dense": make_dense(rng.standard_normal((d, d)) * 2.0 ** -np.arange(d), L2, L2),
+        "kernel": make_kernel(K, 0.5, L2, L2),
+    }
+
+
+def gallery_handles(T, d: int = 8):
+    """(hy, h1, h2) as certify builds them, with the coordinate l2 family."""
+    h1, h2, hy = ehrling._handles(T, L2, DualFamily(mode="coordinate", space=L2), d, FAST)
+    return hy, h1, h2
+
+
+class TestModulusSearch:
+    """One bisect_modulus call serves a whole eps grid."""
+
+    @pytest.mark.parametrize("kind", ["diagonal", "dense", "kernel"])
+    def test_grid_call_equals_one_eps_calls(self, kind):
+        handles = gallery_handles(gallery()[kind])
+        grid = (1.0, 0.5, 0.25, 0.125)
+        shared = bisect_modulus(*handles, grid, 8, FAST)
+        assert len(shared) == len(grid)
+        for eps, (delta, witnesses) in zip(grid, shared):
+            ((delta1, witnesses1),) = bisect_modulus(*handles, (eps,), 8, FAST)
+            assert delta == delta1
+            assert len(witnesses) == len(witnesses1)
+            for w, w1 in zip(witnesses, witnesses1):
+                assert np.array_equal(w, w1)
+
+    def test_rejects_nonpositive_eps(self):
+        with pytest.raises(ToleranceError):
+            bisect_modulus(*gallery_handles(gallery()["diagonal"]), (0.5, 0.0), 8, FAST)
+
+    def test_one_bound_search_per_certificate(self, monkeypatch):
+        calls = []
+        real = optimize.ratio_objective
+        monkeypatch.setattr(optimize, "ratio_objective",
+                            lambda *a: calls.append(1) or real(*a))
+        certify(gallery()["dense"], L2, DualFamily(mode="coordinate", space=L2), opt=FAST)
+        assert len(calls) == 1
+
+    def test_golden_certify_search_count(self, monkeypatch, tmp_path):
+        calls = []
+        real = optimize.maximize_direction
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "maximize_direction", spy)
+        monkeypatch.setattr(ehrling, "maximize_direction", spy)
+        run(load_scenario(SCENARIOS / "certify_diag16.json"), output_dir=tmp_path)
+        assert len(calls) == 57
 
 
 # ---------------------------------------------------------------------------
