@@ -4,7 +4,8 @@ The library works with finite truncations of sequence spaces. Its core
 objects are dual families (deterministic enumerations of the dual unit
 ball), the very weak norm they induce (computed as a certified interval),
 and Ehrling certificates (eps, delta, C) for linear operators, produced by
-bisection over an inner maximization and checked by adversarial sampling.
+a bracketing search over an inner maximization and checked by adversarial
+sampling.
 """
 
 from .convergence import (

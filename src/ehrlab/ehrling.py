@@ -17,8 +17,11 @@ Soundness conventions, applied throughout:
 * the inner maximization admits points by the lower bound, which can only
   enlarge the feasible region and shrink the certified delta.
 
-Certificates are hardened after bisection: a dedicated ascent attacks the
-PASS residual, and delta shrinks until the attack comes back empty. Rows of
+The moduli of all rows come from one search (optimize.bisect_modulus): the
+upper bound on delta and the descent that brackets each row are shared, and
+each bracket is narrowed by ITP interpolation in ln delta. Certificates are
+hardened after that search: a dedicated ascent attacks the PASS residual,
+and delta shrinks until the attack comes back empty. Rows of
 a certificate table may inherit the constant of a smaller-eps row (valid
 there implies valid here), which enforces monotonicity without weakening any
 claim.
@@ -300,7 +303,8 @@ def verify_certificate(T: LinearOperator, norm1, norm2, eps: float, C: float,
 
 
 def _certify_rows(hy, h1, h2, eps_grid, dim, opt, sampler):
-    """Bisect, harden, and verify one row per eps; then enforce monotonicity.
+    """Search every row's modulus in one call, then harden and verify one row
+    per eps; then enforce monotonicity.
 
     hy is the bounded side and h2 the constraint norm, so the reverse form
     comes through here with its handles exchanged.
@@ -446,8 +450,8 @@ def reverse_certificate(T: LinearOperator, fam: DualFamily, eps: float,
 
     The domain norm must be a reflexive model (lp with 1 < p < inf, or the
     Hilbertian sobolev-h1); injectivity on the truncation is checked through
-    the smallest singular value of the materialized matrix. The row is
-    bisected, hardened and verified by the same pipeline as certify.
+    the smallest singular value of the materialized matrix. The row's modulus
+    is searched, hardened and verified by the same pipeline as certify.
     """
     _check_reflexive_model(T.domain)
     dim = _operator_dim(T, opt)

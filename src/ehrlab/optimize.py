@@ -22,6 +22,7 @@ pulls gradients back through the adjoints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,15 @@ __all__ = [
 
 STEP_INIT = 0.25  # initial ascent step of every start
 ENCLOSURE_TOL = 1e-10  # tail majorant of every family handle on its norm cap
-BISECT_REL_WIDTH = 1e-3  # the modulus bisection stops at this relative bracket width
+BISECT_REL_WIDTH = 1e-3  # the modulus search stops at this relative bracket width
+# ITP refinement of the modulus bracket in x = ln(delta / bound): the
+# truncation step is ITP_K1 * width^2 / (initial width), and a row takes at
+# most ITP_N0 steps more than bisection would
+ITP_K1 = 0.05
+ITP_N0 = 1
+# bracket width in x that guarantees hi / lo <= 1 + BISECT_REL_WIDTH for the
+# rounded deltas bound * exp(x)
+_ITP_WIDTH = math.log1p(BISECT_REL_WIDTH) * (1.0 - 1e-9)
 
 
 @dataclass(frozen=True)
@@ -51,8 +60,9 @@ class OptimizerSettings:
 
     dim is the ambient truncation the search runs in; when None it is
     inferred from the operator (diagonal/dense/kernel carry one) and falls
-    back to 16. delta_floor is the smallest modulus the bisection will
-    consider before declaring that no modulus exists.
+    back to 16. delta_floor is the smallest modulus the search will
+    consider: the descent bound, bound/16, ... stops there, and a row whose
+    predicate still fails at it has no modulus.
     """
 
     seed: int = 0
@@ -350,7 +360,7 @@ def ratio_objective(num: NormHandle, den: NormHandle):
 
 
 # ---------------------------------------------------------------------------
-# modulus bisection
+# modulus search
 # ---------------------------------------------------------------------------
 
 def _restricted_sup(hy: NormHandle, norm1: NormHandle, norm2: NormHandle,
@@ -387,6 +397,30 @@ def _restricted_sup(hy: NormHandle, norm1: NormHandle, norm2: NormHandle,
     return maximize_direction(f, dim, opt, extra_starts=warm, value_and_grad=fg)
 
 
+def _log_ratio(sup: float, eps: float):
+    """ln(sup / eps), or None when sup is 0, inf or NaN."""
+    if 0.0 < sup < math.inf:
+        return math.log(sup) - math.log(eps)
+    return None
+
+
+def _itp_point(a: float, b: float, fa, fb, k1: float, r: float) -> float:
+    """The next ITP trial in [a, b] (Oliveira & Takahashi, ACM TOMS 2020).
+
+    fa <= 0 < fb are the values at the ends, or None where undefined; then
+    the step is the midpoint. Otherwise the regula falsi point moves k1 (b-a)^2
+    toward the midpoint (truncation) and stays within r of it (projection).
+    """
+    half = 0.5 * (a + b)
+    if fa is None or fb is None:
+        return half
+    xf = (fb * a - fa * b) / (fb - fa)
+    sigma = math.copysign(1.0, half - xf)
+    step = k1 * (b - a) ** 2
+    xt = xf + sigma * step if step <= abs(half - xf) else half
+    return xt if abs(xt - half) <= r else half - sigma * r
+
+
 def bisect_modulus(hy: NormHandle, norm1: NormHandle, norm2: NormHandle, eps_grid,
                    dim: int, opt: OptimizerSettings):
     """Largest delta (to relative width BISECT_REL_WIDTH) with sup hy <= eps,
@@ -399,10 +433,19 @@ def bisect_modulus(hy: NormHandle, norm1: NormHandle, norm2: NormHandle, eps_gri
     reuses. When the upper search bound itself satisfies the predicate (the
     constraint never binds) it is returned as delta.
 
-    Nothing before the bisection depends on eps: the upper search bound and
-    the geometric descent bound, bound/16, ... (each search warm-started from
-    the one before) run once per call, and every row walks the same chain,
-    so a grid call returns exactly what one-eps calls return.
+    Nothing before the refinement depends on eps: the upper search bound
+    and the geometric descent bound, bound/16, ... (each search warm-started
+    from the one before) run once per call, and every row walks the same
+    chain, so a grid call returns exactly what one-eps calls return.
+
+    A row's bracket [lo, hi] (predicate held at lo, failed at hi) is then
+    narrowed by ITP in x = ln(delta / bound) on f = ln(sup / eps). Scaling
+    a feasible point by delta/delta' keeps it feasible, so sup is
+    nondecreasing and sup/delta nonincreasing: f has slope in [0, 1] in x,
+    where interpolation beats halving. Each trial is bound * exp(x), warm
+    started from the previous search; the result is the last lo, a delta
+    whose predicate held, and no row takes more than ITP_N0 steps beyond
+    the bisection count of its first bracket.
     """
     eps_grid = [float(e) for e in eps_grid]
     for eps in eps_grid:
@@ -445,17 +488,25 @@ def bisect_modulus(hy: NormHandle, norm1: NormHandle, norm2: NormHandle, eps_gri
             out.append((bound, witnesses))
             continue
 
-        # log-space bisection of [chain k, chain k-1]
+        # ITP refinement of [chain k, chain k-1] in x = ln(delta / bound)
         lo_d, hi_d = delta, chain[k - 1][0]
+        a, b = math.log(lo_d / bound), math.log(hi_d / bound)
+        fa, fb = _log_ratio(val, eps), _log_ratio(chain[k - 1][1], eps)
+        k1 = ITP_K1 / (b - a)
+        n_max = max(math.ceil(math.log2((b - a) / _ITP_WIDTH)), 0) + ITP_N0
         warm = w[None, :]
+        j = 0
         while hi_d / lo_d > 1.0 + BISECT_REL_WIDTH:
-            mid = float(np.sqrt(lo_d * hi_d))
-            val, w = predicate(mid, warm)
+            r = max(0.5 * _ITP_WIDTH * 2.0 ** (n_max - j) - 0.5 * (b - a), 0.0)
+            x = _itp_point(a, b, fa, fb, k1, r)
+            trial = bound * math.exp(x)
+            val, w = predicate(trial, warm)
             witnesses.append(w)
             warm = w[None, :]
             if val <= eps:
-                lo_d = mid
+                a, lo_d, fa = x, trial, _log_ratio(val, eps)
             else:
-                hi_d = mid
+                b, hi_d, fb = x, trial, _log_ratio(val, eps)
+            j += 1
         out.append((lo_d, witnesses))
     return out

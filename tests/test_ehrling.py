@@ -1,6 +1,7 @@
 """Certificates, sharp constants, falsification, and the reverse inequality."""
 
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -181,6 +182,61 @@ class TestModulusSearch:
         with pytest.raises(ToleranceError):
             bisect_modulus(*gallery_handles(gallery()["diagonal"]), (0.5, 0.0), 8, FAST)
 
+    @pytest.mark.parametrize("kind", ["diagonal", "dense", "kernel"])
+    def test_bracket_contract(self, kind, monkeypatch):
+        """Each returned delta read sup <= eps; a delta at most a factor
+        1 + BISECT_REL_WIDTH above it read sup > eps (unless the constraint
+        never binds); and the refinement took at most ITP's worst case, one
+        step more than bisecting the first bracket [bound/16, bound]."""
+        evaluated = []
+        real = optimize._restricted_sup
+
+        def spy(*args, **kwargs):
+            val, w = real(*args, **kwargs)
+            evaluated.append((args[3], val))
+            return val, w
+
+        monkeypatch.setattr(optimize, "_restricted_sup", spy)
+        handles = gallery_handles(gallery()[kind])
+        width = optimize.BISECT_REL_WIDTH
+        worst = math.ceil(math.log2(math.log(16.0) / math.log1p(width))) + 1
+        for eps in ehrling.DEFAULT_EPS_GRID:
+            evaluated.clear()
+            ((delta, witnesses),) = bisect_modulus(*handles, (eps,), 8, FAST)
+            assert len(witnesses) == len(evaluated)
+            bound = evaluated[0][0]
+            assert any(d == delta and s <= eps for d, s in evaluated)
+            assert delta == bound or any(
+                d <= delta * (1.0 + width) and s > eps for d, s in evaluated)
+            first_ok = next(i for i, (_, s) in enumerate(evaluated) if s <= eps)
+            assert len(evaluated) - first_ok - 1 <= worst
+
+    @pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
+    def test_degenerate_sup_takes_the_log_midpoint(self, bad, monkeypatch):
+        """A predicate sup of 0 (below), or inf or NaN (above), leaves the
+        interpolation undefined: every step is then the log-midpoint."""
+        low, high = (bad, 2.0) if bad == 0.0 else (0.5, bad)
+        trials = []
+
+        def stub(hy, norm1, norm2, delta, dim, opt, warm=None):
+            trials.append(delta)
+            return (low if delta <= 0.3 else high), np.eye(dim)[0]
+
+        monkeypatch.setattr(optimize, "_restricted_sup", stub)
+        h = norm_handle(L2)  # bound = sup ||u|| / ||u|| = 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ((delta, _),) = bisect_modulus(h, h, h, (1.0,), 4, FAST)
+        assert trials[:2] == [1.0, 1.0 / 16.0]
+        a, b = math.log(1.0 / 16.0), 0.0
+        for t in trials[2:]:
+            x = 0.5 * (a + b)
+            assert t == math.exp(x)
+            a, b = (x, b) if t <= 0.3 else (a, x)
+        assert delta == max(t for t in trials if t <= 0.3)
+        assert len(trials) - 2 == math.ceil(math.log2(
+            math.log(16.0) / math.log1p(optimize.BISECT_REL_WIDTH)))
+
     def test_one_bound_search_per_certificate(self, monkeypatch):
         calls = []
         real = optimize.ratio_objective
@@ -200,7 +256,7 @@ class TestModulusSearch:
         monkeypatch.setattr(optimize, "maximize_direction", spy)
         monkeypatch.setattr(ehrling, "maximize_direction", spy)
         run(load_scenario(SCENARIOS / "certify_diag16.json"), output_dir=tmp_path)
-        assert len(calls) == 57
+        assert len(calls) == 25
 
 
 # ---------------------------------------------------------------------------
