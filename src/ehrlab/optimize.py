@@ -462,8 +462,8 @@ def bisect_modulus(hy: NormHandle, norm1: NormHandle, norm2: NormHandle, eps_gri
 
     chain = []  # (delta, sup, maximizer) at bound, bound/16, ... down to the floor
 
-    def link(k):
-        while len(chain) <= k:
+    def link(k):  # rows walk k = 0, 1, ..., so k <= len(chain)
+        if k == len(chain):
             if chain:
                 prev, _, w = chain[-1]
                 delta, warm = max(prev / 16.0, opt.delta_floor), w[None, :]
