@@ -289,8 +289,8 @@ def run(sc: dict, output_dir=None) -> int:
     try:
         status, result, table = _HANDLERS[job](sc)
     except NoModulusError as exc:
-        # the restricted map is not continuous at 0: falsified, not a crash
-        status = 2
+        # falsified only when the upper enclosure proves it; else inconclusive
+        status = 2 if exc.sup_at_floor > exc.eps else 3
         result = {"no_modulus": {"eps": exc.eps, "delta_floor": exc.delta_floor,
                                  "sup_at_floor": exc.sup_at_floor}}
         table = None

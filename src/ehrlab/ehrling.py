@@ -15,7 +15,12 @@ Soundness conventions, applied throughout:
 * a FAIL verdict / witness divides by the *upper* bound, so the forced
   constant is a genuine lower bound on any admissible C;
 * the inner maximization admits points by the lower bound, which can only
-  enlarge the feasible region and shrink the certified delta.
+  enlarge the feasible region and shrink the certified delta; "no modulus"
+  is proved only when the upper bound decides feasibility;
+* dense enclosures sum 35 terms (optimize.ENCLOSURE_TERMS): tail 2^-35 ||u||.
+
+optimize.ratio_objective builds every quotient searched here (sharp
+constant, falsify, hardening attack), each enclosure on its side as above.
 
 The moduli of all rows come from one search (optimize.bisect_modulus): the
 upper bound on delta and the descent that brackets each row are shared, and
@@ -40,8 +45,6 @@ from .optimize import (
     NormHandle,
     OptimizerSettings,
     SamplerSettings,
-    _quotient,
-    _quotient_grad,
     _unit,
     ball_points,
     bisect_modulus,
@@ -170,25 +173,8 @@ def _operator_dim(T: LinearOperator, opt: OptimizerSettings) -> int:
     return 16  # the default truncation for dimension-free reprs
 
 
-def _norm_cap(norm_x: NormSpec, norm1: NormHandle, dim: int,
-              opt: OptimizerSettings) -> float:
-    """Upper estimate of the strong norm over the norm1 unit ball.
-
-    Used only to fix the dense enclosure's term count; a loose factor is fine.
-    """
-    f, fg = ratio_objective(norm_handle(norm_x), norm1)
-    light = replace(opt, iterations=20, polish_rounds=10)
-    val, _ = maximize_direction(f, dim, light, value_and_grad=fg)
-    return 2.0 * max(val, 1.0)
-
-
-def _handles(T: LinearOperator, norm1, norm2, dim: int, opt: OptimizerSettings):
-    h1 = norm_handle(norm1)
-    cap = 1.0  # coordinate enclosures are exact and read no term count
-    if isinstance(norm2, DualFamily) and norm2.mode != "coordinate":
-        cap = _norm_cap(norm2.space, h1, dim, opt)
-    h2 = norm_handle(norm2, norm_cap=cap)
-    return h1, h2, operator_handle((T,), T.codomain)
+def _handles(T: LinearOperator, norm1, norm2):
+    return norm_handle(norm1), norm_handle(norm2), operator_handle((T,), T.codomain)
 
 
 def _sample(hy: NormHandle, h1: NormHandle, h2: NormHandle, pts: np.ndarray):
@@ -199,17 +185,6 @@ def _sample(hy: NormHandle, h1: NormHandle, h2: NormHandle, pts: np.ndarray):
     """
     lo, hi = h2.bounds(pts)
     return pts, hy.hi(pts), h1.hi(pts), lo, hi
-
-
-def _unit_grad(h1: NormHandle, V: np.ndarray):
-    """_unit(h1, V), plus the chain rule taking a gradient at W back to V.
-
-    For W = V / s(V): grad_V phi(W) = (grad phi - <grad phi, W> grad s) / s.
-    """
-    n1, g1 = h1.hi_grad(V)
-    s = np.where(n1 > 0.0, n1, 1.0)[:, None]
-    W = V / s
-    return W, lambda Gw: (Gw - (Gw * W).sum(axis=1)[:, None] * g1) / s
 
 
 def _witness(hy: NormHandle, h1: NormHandle, h2: NormHandle, u: np.ndarray,
@@ -234,17 +209,10 @@ def _witness(hy: NormHandle, h1: NormHandle, h2: NormHandle, u: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _attack_residual(hy, h1, h2, eps, C, dim, opt, extra=None):
-    """Ascent on the PASS residual hy - eps*h1 - C*h2.lo over the h1 unit sphere."""
-
-    def f(V):
-        W = _unit(h1, V)
-        return hy.hi(W) - eps - C * h2.lo(W)
-
-    def fg(V):
-        W, back = _unit_grad(h1, V)
-        (y, gy), (n2, g2) = hy.hi_grad(W), h2.lo_grad(W)
-        return y - eps - C * n2, back(gy - C * g2)
-
+    """Ascent on the PASS residual hy - eps*h1 - C*h2.lo over the h1 unit sphere,
+    searched as its 0-homogeneous form (hy - eps*h1 - C*h2.lo) / h1."""
+    f, fg = ratio_objective([(1.0, hy, "hi"), (-eps, h1, "hi"), (-C, h2, "lo")],
+                            (h1, "hi"))
     val, v = maximize_direction(f, dim, opt, extra_starts=extra, value_and_grad=fg)
     return val, _unit(h1, v[None, :])[0]
 
@@ -283,7 +251,7 @@ def verify_certificate(T: LinearOperator, norm1, norm2, eps: float, C: float,
     which proves a genuine violation.
     """
     dim = _operator_dim(T, opt)
-    h1, h2, hy = _handles(T, norm1, norm2, dim, opt)
+    h1, h2, hy = _handles(T, norm1, norm2)
     sample = _sample(hy, h1, h2, ball_points(sampler, dim, h1))
     pass_res, fail_res, point = _verify_points(
         hy, h1, h2, eps, C, sample, list(witnesses))
@@ -353,7 +321,7 @@ def certify(T: LinearOperator, norm1, norm2, eps_grid=DEFAULT_EPS_GRID,
             sampler: SamplerSettings = SamplerSettings()) -> EhrlingCertificate:
     """Constructive certificate table over an eps grid (descending)."""
     dim = _operator_dim(T, opt)
-    h1, h2, hy = _handles(T, norm1, norm2, dim, opt)
+    h1, h2, hy = _handles(T, norm1, norm2)
     rows = _certify_rows(hy, h1, h2, eps_grid, dim, opt, sampler)
     return EhrlingCertificate(
         rows=rows, operator_label=T.label,
@@ -372,18 +340,8 @@ def optimal_constant(T: LinearOperator, norm1, norm2, eps: float,
     inf, flagged approximate, so it still dominates every witness bound.
     """
     dim = _operator_dim(T, opt)
-    h1, h2, hy = _handles(T, norm1, norm2, dim, opt)
-
-    def f(V):
-        y = hy.hi(V)
-        n1 = h1.hi(V)
-        return _quotient(y - eps * n1, h2.lo(V))
-
-    def fg(V):
-        (y, gy), (n1, g1), (n2, g2) = hy.hi_grad(V), h1.hi_grad(V), h2.lo_grad(V)
-        r = _quotient(y - eps * n1, n2)
-        return r, _quotient_grad(r, gy - eps * g1, n2, g2)
-
+    h1, h2, hy = _handles(T, norm1, norm2)
+    f, fg = ratio_objective([(1.0, hy, "hi"), (-eps, h1, "hi")], (h2, "lo"))
     val, v = maximize_direction(f, dim, opt, value_and_grad=fg)
     return OptimalConstantResult(value=max(0.0, float(val)), witness=Element(v),
                                  approximate=not math.isfinite(val))
@@ -400,24 +358,14 @@ def falsify(T: LinearOperator, norm1, fam: DualFamily, eps: float, c_max: float,
     if c_max <= 0.0:
         raise ToleranceError(f"c_max must be positive, got {c_max}")
     dim = _operator_dim(T, opt)
-    h1, h2, hy = _handles(T, norm1, fam, dim, opt)
+    h1, h2, hy = _handles(T, norm1, fam)
+    f, fg = ratio_objective([(1.0, hy, "hi"), (-eps, h1, "hi")], (h2, "hi"))
 
     B = _unit(h1, np.eye(dim))
-    ratios = _quotient(hy.hi(B) - eps * h1.hi(B), h2.hi(B))
-    for k in np.flatnonzero(ratios > c_max):
+    for k in np.flatnonzero(f(B) > c_max):
         w = _witness(hy, h1, h2, B[k], eps, c_max, f"basis direction e_{k + 1}")
         if w is not None:
             return w
-
-    def f(V):
-        W = _unit(h1, V)
-        return _quotient(hy.hi(W) - eps, h2.hi(W))
-
-    def fg(V):
-        W, back = _unit_grad(h1, V)
-        (y, gy), (d2, g2) = hy.hi_grad(W), h2.hi_grad(W)
-        r = _quotient(y - eps, d2)
-        return r, back(_quotient_grad(r, gy, d2, g2))
 
     val, v = maximize_direction(f, dim, opt, value_and_grad=fg)
     if math.isfinite(val) and val > c_max:
@@ -462,7 +410,7 @@ def reverse_certificate(T: LinearOperator, fam: DualFamily, eps: float,
             f"smallest singular value {smin:.3g} on the dim-{dim} truncation"
         )
 
-    hX, famh, yh = _handles(T, T.domain, fam, dim, opt)
+    hX, famh, yh = _handles(T, T.domain, fam)
     # roles exchanged: the very weak norm is the bounded side and ||Tu||_Y the
     # constraint norm, so the residual is |u|_Phi - eps*||u||_X - C*||Tu||_Y
     (row,) = _certify_rows(famh, hX, yh, (eps,), dim, opt, sampler)

@@ -26,10 +26,13 @@ class ToleranceError(EhrlabError):
 
 
 class NoModulusError(EhrlabError):
-    """No modulus of continuity exists above the configured delta floor.
+    """The modulus search found no modulus above the configured delta floor.
 
-    Raised when the restricted supremum still exceeds eps at the smallest
-    delta the search is allowed to consider.
+    Raised when the restricted supremum (norm2's lower enclosure deciding
+    feasibility) still exceeds eps at the floor. sup_at_floor is the one
+    found there with the *upper* enclosure deciding: its points are truly
+    feasible, so sup_at_floor > eps proves that no modulus above the floor
+    exists; otherwise the enclosure is too loose to decide.
     """
 
     def __init__(self, eps: float, delta_floor: float, sup_at_floor: float):
@@ -37,8 +40,8 @@ class NoModulusError(EhrlabError):
         self.delta_floor = delta_floor
         self.sup_at_floor = sup_at_floor
         super().__init__(
-            f"restricted supremum {sup_at_floor:.6g} still exceeds eps={eps:.6g} "
-            f"at the delta floor {delta_floor:.3g}"
+            f"no modulus for eps={eps:.6g} above the delta floor {delta_floor:.3g}; "
+            f"restricted supremum there {sup_at_floor:.6g} (upper enclosure)"
         )
 
 

@@ -11,13 +11,14 @@ Every objective comes as a pair: the value-only map used by the scan and the
 polish, and a value-and-gradient map used by the ascent, built by the chain
 rule from the closed-form subgradients of its pieces. Because objectives are
 0-homogeneous, their Euclidean gradient is already tangent to the sphere.
+Every quotient is built by ratio_objective; only the restricted sup is not.
 
 Norm-like quantities enter through NormHandle, which returns the lower and
 upper evaluations from one call, or one of them with a subgradient. Plain
 norms have lo = hi; a dual family contributes the certified enclosure of the
-very weak norm at a fixed term count (fixed so both bounds stay exactly
-positively homogeneous); an operator handle evaluates ||A_k ... A_1 u|| and
-pulls gradients back through the adjoints.
+very weak norm at the fixed term count ENCLOSURE_TERMS (fixed so both
+bounds stay exactly positively homogeneous); an operator handle evaluates
+||A_k ... A_1 u|| and pulls gradients back through the adjoints.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from .errors import NoModulusError, ToleranceError
 from .operators import _adjoint_batch, apply_batch
 from .spaces import DualFamily, NormSpec, _norm_grad, norm_batch
-from .veryweak import _least_terms, very_weak_norm_batch
+from .veryweak import very_weak_norm_batch
 
 __all__ = [
     "OptimizerSettings",
@@ -42,7 +43,9 @@ __all__ = [
 ]
 
 STEP_INIT = 0.25  # initial ascent step of every start
-ENCLOSURE_TOL = 1e-10  # tail majorant of every family handle on its norm cap
+# series terms of every dense family handle: the tail majorant 2^-35 ||u||
+# is at most 1e-10 for ||u|| <= 3.43
+ENCLOSURE_TERMS = 35
 BISECT_REL_WIDTH = 1e-3  # the modulus search stops at this relative bracket width
 # ITP refinement of the modulus bracket in x = ln(delta / bound): the
 # truncation step is ITP_K1 * width^2 / (initial width), and a row takes at
@@ -61,8 +64,9 @@ class OptimizerSettings:
     dim is the ambient truncation the search runs in; when None it is
     inferred from the operator (diagonal/dense/kernel carry one) and falls
     back to 16. delta_floor is the smallest modulus the search will
-    consider: the descent bound, bound/16, ... stops there, and a row whose
-    predicate still fails at it has no modulus.
+    consider: the descent bound, bound/16, ... stops there. A row whose
+    predicate still fails at it raises NoModulusError, with the sup found
+    there when norm2's upper enclosure decides feasibility.
     """
 
     seed: int = 0
@@ -131,22 +135,20 @@ class _SpecHandle(NormHandle):
 class _FamilyHandle(NormHandle):
     """Very weak norm through a fixed-term enclosure.
 
-    The term count is frozen up front (from a tolerance and a cap on the
-    strong norms the search will see) so that both bounds are exactly
-    positively homogeneous; the tail majorant stays valid for every argument
-    regardless of the cap. The gradient of lo is sum_k 2^-k sign<phi_k,u> phi_k
-    (w * sign(u) in coordinate mode); hi adds 2^-M times the strong-norm
-    gradient outside coordinate mode. Where a pairing vanishes, each
-    coordinate takes its one-sided derivative along +e_j (2^-k |phi_kj|), so
-    axis-aligned rows, such as the axis scan's best row and basis-like warm
-    starts, still get a direction off their kinks.
+    The term count M is ENCLOSURE_TERMS, read when the handle is built, so
+    both bounds are exactly positively homogeneous; the tail majorant
+    2^-M ||u|| holds for every argument, however large. The gradient of lo
+    is sum_k 2^-k sign<phi_k,u> phi_k (w * sign(u) in coordinate mode); hi
+    adds 2^-M times the strong-norm gradient outside coordinate mode. Where
+    a pairing vanishes, each coordinate takes its one-sided derivative along
+    +e_j (2^-k |phi_kj|), so axis-aligned rows, such as the axis scan's best
+    row and basis-like warm starts, still get a direction off their kinks.
     """
 
-    def __init__(self, fam: DualFamily, tol: float, norm_cap: float):
+    def __init__(self, fam: DualFamily):
         self.fam = fam
         self.label = f"very-weak({fam.mode}, {fam.space.label})"
-        cap = max(float(norm_cap), 1.0)
-        self.terms = _least_terms(cap, tol)
+        self.terms = ENCLOSURE_TERMS
         self._series = 2.0 ** (-np.arange(1, self.terms + 1, dtype=np.float64))
 
     def bounds(self, U):
@@ -208,10 +210,10 @@ class _OperatorHandle(NormHandle):
     hi_grad = lo_grad
 
 
-def norm_handle(obj, *, norm_cap: float = 1.0) -> NormHandle:
+def norm_handle(obj) -> NormHandle:
     """Wrap a NormSpec or DualFamily for batched use."""
     if isinstance(obj, DualFamily):
-        return _FamilyHandle(obj, ENCLOSURE_TOL, norm_cap)
+        return _FamilyHandle(obj)
     if isinstance(obj, NormSpec):
         return _SpecHandle(obj)
     raise ToleranceError(f"cannot build a norm handle from {type(obj).__name__}")
@@ -333,9 +335,8 @@ def maximize_direction(objective, dim: int, opt: OptimizerSettings,
 
 def _quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """num / den, with +-inf where den vanishes and -inf in place of NaN."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(den > 0.0, num / den, np.where(num > 0.0, np.inf, -np.inf))
-    return np.where(np.isnan(r), -np.inf, r)
+    r = np.divide(num, den, out=np.where(num > 0.0, np.inf, -np.inf), where=den > 0.0)
+    return np.fmax(r, -np.inf, out=r)
 
 
 def _quotient_grad(r: np.ndarray, gnum: np.ndarray, den: np.ndarray,
@@ -345,16 +346,31 @@ def _quotient_grad(r: np.ndarray, gnum: np.ndarray, den: np.ndarray,
         return (gnum - r[:, None] * gden) / den[:, None]
 
 
-def ratio_objective(num: NormHandle, den: NormHandle):
-    """num.lo / den.hi as a search pair (value, value-and-gradient)."""
+def ratio_objective(num, den):
+    """The quotient (sum_i c_i h_i) / h as a search pair (value, value-and-gradient).
+
+    num is a sequence of (c, handle, side) and den one (handle, side), where
+    side "lo" or "hi" picks the handle's lower or upper bound. Each distinct
+    (handle, side) is evaluated once per call.
+    """
+    keys = list(dict.fromkeys([(h, side) for _, h, side in num] + [den]))
+    (c0, i0), *rest = [(float(c), keys.index((h, side))) for c, h, side in num]
+    j = keys.index(den)
+    values = [getattr(h, side) for h, side in keys]
+    grads = [getattr(h, side + "_grad") for h, side in keys]
+
+    def combine(parts):  # c_1 h_1 + c_2 h_2 + ..., left to right
+        first = parts[i0] if c0 == 1.0 else c0 * parts[i0]
+        return sum((c * parts[i] for c, i in rest), first)
 
     def f(V):
-        return _quotient(num.lo(V), den.hi(V))
+        vals = [ev(V) for ev in values]
+        return _quotient(combine(vals), vals[j])
 
     def fg(V):
-        (a, ga), (b, gb) = num.lo_grad(V), den.hi_grad(V)
-        r = _quotient(a, b)
-        return r, _quotient_grad(r, ga, b, gb)
+        vals, gs = zip(*[ev(V) for ev in grads])
+        r = _quotient(combine(vals), vals[j])
+        return r, _quotient_grad(r, combine(gs), vals[j], gs[j])
 
     return f, fg
 
@@ -364,14 +380,17 @@ def ratio_objective(num: NormHandle, den: NormHandle):
 # ---------------------------------------------------------------------------
 
 def _restricted_sup(hy: NormHandle, norm1: NormHandle, norm2: NormHandle,
-                    delta: float, dim: int, opt: OptimizerSettings, warm=None):
+                    delta: float, dim: int, opt: OptimizerSettings, warm=None,
+                    side: str = "lo"):
     """sup hy(u) over {norm1(u) <= 1, norm2(u) <= delta} by direction search.
 
     The objective rescales each direction v onto the boundary of the feasible
     region: c = min(1/norm1(v), delta/norm2(v)); its value is c * hy(v).
-    The norm2 lower bound is used for feasibility, which can only enlarge the
-    region and overestimate the supremum: the conservative side.
+    The norm2 lower bound decides feasibility by default: it can only enlarge
+    the region and overestimate the supremum, the conservative side for a
+    modulus. side="hi" keeps every valued point truly feasible instead.
     """
+    n2_value, n2_grad = getattr(norm2, side), getattr(norm2, side + "_grad")
 
     def scale(n1, n2):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -382,11 +401,11 @@ def _restricted_sup(hy: NormHandle, norm1: NormHandle, norm2: NormHandle,
 
     def f(V):
         n1 = norm1.hi(V)
-        n2 = norm2.lo(V)
+        n2 = n2_value(V)
         return hy.hi(V) * scale(n1, n2)[2]
 
     def fg(V):
-        (n1, g1), (n2, g2), (y, gy) = norm1.hi_grad(V), norm2.lo_grad(V), hy.hi_grad(V)
+        (n1, g1), (n2, g2), (y, gy) = norm1.hi_grad(V), n2_grad(V), hy.hi_grad(V)
         c1, c2, c = scale(n1, n2)
         # the binding branch of the min: d(1/n1) = -g1/n1^2, d(delta/n2) = -delta g2/n2^2
         with np.errstate(invalid="ignore", over="ignore"):
@@ -453,7 +472,7 @@ def bisect_modulus(hy: NormHandle, norm1: NormHandle, norm2: NormHandle, eps_gri
             raise ToleranceError(f"eps must be positive, got {eps}")
 
     # upper search bound: sup norm2 over the norm1 unit ball
-    f, fg = ratio_objective(norm2, norm1)
+    f, fg = ratio_objective([(1.0, norm2, "lo")], (norm1, "hi"))
     bound, _ = maximize_direction(f, dim, opt, value_and_grad=fg)
     bound = max(bound, opt.delta_floor)
 
@@ -481,7 +500,11 @@ def bisect_modulus(hy: NormHandle, norm1: NormHandle, norm2: NormHandle, eps_gri
             if val <= eps:
                 break
             if delta <= opt.delta_floor:
-                raise NoModulusError(eps, opt.delta_floor, val)
+                # proved only if it still fails with norm2's upper bound
+                # deciding feasibility
+                sup, _ = _restricted_sup(hy, norm1, norm2, delta, dim, opt,
+                                         w[None, :], side="hi")
+                raise NoModulusError(eps, opt.delta_floor, sup)
             k += 1
         witnesses = [c[2] for c in chain[:k + 1]]
         if k == 0:

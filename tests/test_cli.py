@@ -278,6 +278,21 @@ class TestExitCodes:
         assert nm["delta_floor"] == 0.01
         assert nm["sup_at_floor"] > 0.5
 
+    def test_unproved_no_modulus_exits_3(self, tmp_path):
+        # certify_diag16 with the dense-rational family: the lower enclosure
+        # leaves no modulus at eps = 1/8, but with the upper enclosure
+        # deciding feasibility the sup at the floor stays below eps, so no
+        # falsification is proved
+        doc = json.loads((SCENARIOS / "certify_diag16.json").read_text())
+        doc["norm2"] = {"mode": "dense-rational", "space": doc["norm2"]["space"]}
+        del doc["output"]
+        p = write_scenario(tmp_path, doc)
+        assert main(["run", str(p), "--output-dir", str(tmp_path)]) == 3
+        report = json.loads((tmp_path / "certify-report.json").read_text())
+        nm = report["result"]["no_modulus"]
+        assert nm["eps"] == 0.125
+        assert 0.0 <= nm["sup_at_floor"] <= nm["eps"]
+
     def test_config_error_from_library_exits_1(self, tmp_path, capsys):
         # schema-valid but semantically broken: a non-injective operator
         doc = {

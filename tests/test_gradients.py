@@ -111,22 +111,24 @@ FAMILIES = {
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
-def test_family_enclosure_gradients(name):
-    # a loose tolerance keeps the dense tail term 2^-M * grad R visible; at
-    # optimize.ENCLOSURE_TOL it would be 2^-36 * grad R, below the check's noise
-    h = optimize._FamilyHandle(FAMILIES[name], 1e-3, 4.0)
+def test_family_enclosure_gradients(name, monkeypatch):
+    # 12 terms keep the dense tail term 2^-M * grad R visible; at
+    # optimize.ENCLOSURE_TERMS it would be 2^-35 * grad R, below the check's noise
+    monkeypatch.setattr(optimize, "ENCLOSURE_TERMS", 12)
+    h = norm_handle(FAMILIES[name])
     V = directions(8, seed=2)
     assert assert_gradient(h.lo, h.lo_grad, V, name + " lo") == len(V)
     assert assert_gradient(h.hi, h.hi_grad, V, name + " hi") == len(V)
 
 
-@pytest.mark.parametrize("h", [norm_handle(NormSpec.lp(1)),
-                               norm_handle(FAMILIES["coordinate-lp2"]),
-                               norm_handle(FAMILIES["dense-lp2"], norm_cap=4.0)],
+@pytest.mark.parametrize("obj", [NormSpec.lp(1), FAMILIES["coordinate-lp2"],
+                                 FAMILIES["dense-lp2"]],
                          ids=["lp1", "coordinate", "dense"])
-def test_kinks_take_the_one_sided_derivative_along_plus_e_j(h):
+def test_kinks_take_the_one_sided_derivative_along_plus_e_j(obj, monkeypatch):
     """On axis rows (-0.0 entries included) every zero coordinate or
     vanishing pairing is a kink; the gradient there is the forward derivative."""
+    monkeypatch.setattr(optimize, "ENCLOSURE_TERMS", 36)
+    h = norm_handle(obj)
     V = np.vstack([np.eye(5), -np.eye(5)])
     lo, G = h.lo_grad(V)
     E = STEP * np.eye(5)
@@ -205,8 +207,7 @@ def test_certify_objectives(searches):
             DualFamily(mode="dense-rational", space=L2), eps_grid=(0.5,), opt=TINY)
     certify(ops["kernel"], NormSpec.weighted_lp(2, np.linspace(1.0, 2.0, d)),
             DualFamily(mode="coordinate", space=NormSpec.lp(1.5)), eps_grid=(0.5,), opt=TINY)
-    check_searches(searches, ["_norm_cap", "bisect_modulus", "_restricted_sup",
-                              "_attack_residual"])
+    check_searches(searches, ["bisect_modulus", "_restricted_sup", "_attack_residual"])
 
 
 def test_sharp_constant_and_falsify_objectives(searches):
@@ -234,8 +235,7 @@ def test_reverse_and_three_space_objectives(searches):
     theta = make_sobolev_embedding(6, 0.25)
     tau_op = make_diagonal([1.0] * 6, L2, NormSpec.weighted_lp(2, 2.0 ** -np.arange(1, 7)))
     three_space_certificate(theta, tau_op, (0.5,), opt=TINY)
-    check_searches(searches, ["_norm_cap", "bisect_modulus", "_restricted_sup",
-                              "_attack_residual"])
+    check_searches(searches, ["bisect_modulus", "_restricted_sup", "_attack_residual"])
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ REMOVED_ATTRIBUTES = (
 )
 # settings that no caller varied, now module constants: callable -> parameters
 REMOVED_PARAMETERS = {
-    "optimize.norm_handle": ("enclosure_tol",),
+    "optimize.norm_handle": ("enclosure_tol", "norm_cap"),
     "convergence.classify": ("tau",),
     "convergence.default_probes": ("n_enumerated", "n_random", "seed", "envelope"),
     "convergence.appendix_counterexample": ("dim_margin",),
