@@ -21,7 +21,6 @@ from .convergence import (
     default_probes,
     implication_suite,
     strongly_convergent_sequence,
-    term,
 )
 from .ehrling import (
     DEFAULT_EPS_GRID,
@@ -44,7 +43,6 @@ from .errors import (
     InvalidElementError,
     NoModulusError,
     NonInjectiveError,
-    NullspaceEmptyError,
     ScenarioError,
     ToleranceError,
     UnsupportedNormError,
@@ -106,7 +104,7 @@ __all__ = [
     "certify", "verify_certificate", "optimal_constant", "falsify",
     "reverse_certificate", "three_space_certificate",
     # convergence
-    "SequenceGen", "ModeReport", "term", "classify", "default_probes",
+    "SequenceGen", "ModeReport", "classify", "default_probes",
     "cutoff_index", "default_dim",
     "appendix_counterexample", "implication_suite", "basis_sequence",
     "strongly_convergent_sequence", "counterexample_sequence",
@@ -114,6 +112,5 @@ __all__ = [
     # errors
     "EhrlabError", "InvalidElementError", "DimensionMismatchError",
     "UnsupportedNormError", "EnumerationError", "ToleranceError",
-    "NoModulusError", "NonInjectiveError", "NullspaceEmptyError",
-    "ScenarioError",
+    "NoModulusError", "NonInjectiveError", "ScenarioError",
 ]

@@ -17,12 +17,12 @@ and nothing more.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import null_space
 
-from .errors import DimensionMismatchError, EhrlabError, NullspaceEmptyError, ToleranceError
+from .errors import DimensionMismatchError, EhrlabError, ToleranceError
 from .spaces import (
     DualFamily,
     Element,
@@ -37,7 +37,6 @@ from .veryweak import very_weak_norm
 __all__ = [
     "SequenceGen",
     "ModeReport",
-    "term",
     "classify",
     "cutoff_index",
     "default_dim",
@@ -60,21 +59,20 @@ ENVELOPE = 0.5  # random probe coefficients are damped by ENVELOPE^k
 # sequence generators
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SequenceGen:
-    """A finite prefix u_1..u_horizon of a sequence, generated by rule."""
+    """A finite prefix u_1..u_horizon of a sequence and its declared limit."""
 
-    rule: str
-    horizon: int
-    dim: int = 16
+    elements: tuple
     target: Element | None = None
-    rate: float = 0.5
-    fam: DualFamily | None = None
-    elements: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ToleranceError(f"horizon must be >= 1, got {self.horizon}")
+        if not self.elements:
+            raise ToleranceError("a sequence needs at least one element")
+
+    @property
+    def horizon(self) -> int:
+        return len(self.elements)
 
 
 def basis_sequence(dim: int, horizon: int | None = None) -> SequenceGen:
@@ -83,7 +81,8 @@ def basis_sequence(dim: int, horizon: int | None = None) -> SequenceGen:
     if horizon > dim:
         raise DimensionMismatchError(
             f"basis sequence horizon {horizon} exceeds dim {dim}")
-    return SequenceGen(rule="basis", horizon=horizon, dim=dim)
+    eye = np.eye(dim)
+    return SequenceGen(tuple(Element(eye[n]) for n in range(horizon)))
 
 
 def strongly_convergent_sequence(target: Element, rate: float = 0.5,
@@ -91,41 +90,20 @@ def strongly_convergent_sequence(target: Element, rate: float = 0.5,
     """u_n = target + rate^n e_1."""
     if not (0.0 < rate < 1.0):
         raise ToleranceError(f"rate must lie in (0, 1), got {rate}")
-    return SequenceGen(rule="strongly-convergent", horizon=horizon,
-                       dim=target.dim, target=target, rate=rate)
+    e1 = np.zeros(target.dim)
+    e1[0] = 1.0
+    return SequenceGen(tuple(Element(target.coeffs + rate ** n * e1)
+                             for n in range(1, horizon + 1)), target)
 
 
 def counterexample_sequence(fam: DualFamily, horizon: int = 16) -> SequenceGen:
     """u_n from the unbounded very-weak-null construction."""
-    return SequenceGen(rule="appendix-counterexample", horizon=horizon, fam=fam)
+    return SequenceGen(tuple(appendix_counterexample(fam, n)
+                             for n in range(1, horizon + 1)))
 
 
 def custom_sequence(elements, target: Element | None = None) -> SequenceGen:
-    elements = list(elements)
-    if not elements:
-        raise ToleranceError("custom sequence needs at least one element")
-    return SequenceGen(rule="custom", horizon=len(elements),
-                       dim=max(e.dim for e in elements),
-                       target=target, elements=elements)
-
-
-def term(g: SequenceGen, n: int) -> Element:
-    """The n-th element of the sequence (1-based)."""
-    if not 1 <= n <= g.horizon:
-        raise DimensionMismatchError(f"term index {n} outside 1..{g.horizon}")
-    if g.rule == "basis":
-        coeffs = np.zeros(g.dim)
-        coeffs[n - 1] = 1.0
-        return Element(coeffs)
-    if g.rule == "strongly-convergent":
-        bump = np.zeros(g.target.dim)
-        bump[0] = g.rate ** n
-        return Element(g.target.coeffs + bump)
-    if g.rule == "appendix-counterexample":
-        return appendix_counterexample(g.fam, n)
-    if g.rule == "custom":
-        return g.elements[n - 1]
-    raise EhrlabError(f"unknown sequence rule {g.rule!r}")
+    return SequenceGen(tuple(elements), target)
 
 
 # ---------------------------------------------------------------------------
@@ -148,28 +126,15 @@ def _counterexample_tol(n: int) -> float:
     return 0.5 / (n * n * max(n, 2))
 
 
-def appendix_counterexample(fam: DualFamily, n: int, dim_schedule=None) -> Element:
+def appendix_counterexample(fam: DualFamily, n: int) -> Element:
     """u_n with strong norm exactly n and very weak norm certified below 1/n.
 
-    dim_schedule may be an explicit dimension or a callable n -> dim; the
-    default N_n + n + DIM_MARGIN always leaves the pairing matrix a nullspace.
-    Raises NullspaceEmptyError when the requested dimension does not.
+    The dimension N_n + n + DIM_MARGIN exceeds the N_n rows of the pairing
+    matrix, so the matrix always has a nullspace.
     """
     N = cutoff_index(n)
-    if dim_schedule is None:
-        d = default_dim(n)
-    elif callable(dim_schedule):
-        d = int(dim_schedule(n))
-    else:
-        d = int(dim_schedule)
-
-    P = fam.prefix_matrix(N, d)
+    P = fam.prefix_matrix(N, default_dim(n))
     ns = null_space(P)
-    if ns.shape[1] == 0:
-        raise NullspaceEmptyError(
-            f"pairing matrix of the first {N} members has full column rank "
-            f"at dim {d}; enlarge the dimension schedule"
-        )
     xi = ns[:, 0]
     # SVD signs are arbitrary; canonicalize so runs agree bit for bit
     nz = np.flatnonzero(np.abs(xi) > 1e-12)
@@ -249,8 +214,7 @@ def _trailing(values: list) -> list:
     return values[len(values) // 2:]
 
 
-def classify(g: SequenceGen, fam: DualFamily, probes=None,
-             tol: float = 1e-3) -> ModeReport:
+def classify(g: SequenceGen, fam: DualFamily, tol: float = 1e-3) -> ModeReport:
     """Classify the convergence mode supported by the sequence data.
 
     Thresholds, all on the trailing half of the horizon: strong when the
@@ -259,21 +223,17 @@ def classify(g: SequenceGen, fam: DualFamily, probes=None,
     strong residual stays above 10*tol; very-weak-only when the very weak
     enclosure stays below tol while the norms exceed 1/tol. Data between
     thresholds yields the weakest consistent verdict plus a diagnostic flag.
-    The very weak enclosures are taken to width tol / 100.
+    The probes are default_probes; the very weak enclosures are taken to
+    width tol / 100.
     """
     if tol <= 0.0:
         raise ToleranceError(f"tol must be positive, got {tol}")
 
     limit = g.target
-    terms = [term(g, n) for n in range(1, g.horizon + 1)]
-    width = max(e.dim for e in terms)
-    if probes is None:
-        probes = default_probes(fam, width)
-    if not probes:
-        raise ToleranceError("classification needs at least one probe")
+    probes = default_probes(fam, max(e.dim for e in g.elements))
 
     norms, strong_res, weak_res, vw = [], [], [], []
-    for u in terms:
+    for u in g.elements:
         w = (u - limit) if limit is not None else u
         norms.append(norm(fam.space, u))
         strong_res.append(norm(fam.space, w))
@@ -317,15 +277,14 @@ def classify(g: SequenceGen, fam: DualFamily, probes=None,
     )
 
 
-def implication_suite(g: SequenceGen, fam: DualFamily, probes=None,
-                      tol: float = 1e-3) -> dict:
+def implication_suite(g: SequenceGen, fam: DualFamily, tol: float = 1e-3) -> dict:
     """Check strong => weak => very-weak step by step on the sequence data.
 
     Probe functionals and family members live in the dual unit ball, so
     |<phi, w>| <= ||w|| and the very weak lower bound obeys lo <= ||w||; a
     violation of either is a bug report, not a mathematical finding.
     """
-    report = classify(g, fam, probes=probes, tol=tol)
+    report = classify(g, fam, tol=tol)
     violations = []
     for i, (s, w, cv) in enumerate(zip(report.strong_residuals,
                                        report.weak_residuals,

@@ -240,9 +240,8 @@ def _verify_points(hy, h1, h2, eps, C, sample, witnesses):
 
 def verify_certificate(T: LinearOperator, norm1, norm2, eps: float, C: float,
                        sampler: SamplerSettings = SamplerSettings(),
-                       opt: OptimizerSettings = OptimizerSettings(),
-                       witnesses=()) -> VerificationReport:
-    """Evaluate the inequality on ball samples, basis vectors, and witnesses.
+                       opt: OptimizerSettings = OptimizerSettings()) -> VerificationReport:
+    """Evaluate the inequality on ball samples and basis vectors.
 
     The reported residual is the conservative one (norm2 lower bound): if it
     is <= 0 the inequality holds at every sampled point for the true norm2
@@ -253,8 +252,7 @@ def verify_certificate(T: LinearOperator, norm1, norm2, eps: float, C: float,
     dim = _operator_dim(T, opt)
     h1, h2, hy = _handles(T, norm1, norm2)
     sample = _sample(hy, h1, h2, ball_points(sampler, dim, h1))
-    pass_res, fail_res, point = _verify_points(
-        hy, h1, h2, eps, C, sample, list(witnesses))
+    pass_res, fail_res, point = _verify_points(hy, h1, h2, eps, C, sample, ())
     k = int(np.argmax(pass_res))
     max_pass, worst = float(pass_res[k]), point(k)
     witness = None
@@ -377,14 +375,7 @@ def falsify(T: LinearOperator, norm1, fam: DualFamily, eps: float, c_max: float,
 # reverse and three-space forms
 # ---------------------------------------------------------------------------
 
-_REFLEXIVE_KINDS = ("lp", "weighted-lp", "sobolev-h1")
-
-
 def _check_reflexive_model(ns: NormSpec):
-    if ns.kind not in _REFLEXIVE_KINDS:
-        raise UnsupportedNormError(
-            f"reverse certification needs a reflexive-model norm, got {ns.label}"
-        )
     if ns.kind in ("lp", "weighted-lp") and not (1.0 < ns.p < math.inf):
         raise UnsupportedNormError(
             f"reverse certification needs 1 < p < inf, got p={ns.p:g}"

@@ -49,10 +49,6 @@ class NonInjectiveError(EhrlabError):
     """The operator is not injective on the truncation (smallest singular value ~ 0)."""
 
 
-class NullspaceEmptyError(EhrlabError):
-    """The pairing matrix has no nullspace; the working dimension is too small."""
-
-
 class ScenarioError(EhrlabError):
     """A scenario file failed validation; carries JSON-pointer paths."""
 

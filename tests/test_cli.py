@@ -426,6 +426,10 @@ GOLDEN_SETS = [
     ("reverse_diag.json", ["reverse_diag-report.json", "reverse_diag-rows.csv"]),
     ("three_space_h1.json", ["three_space_h1-report.json",
                              "three_space_h1-rows.csv"]),
+    ("classify_counterexample.json", ["classify_counterexample-report.json",
+                                      "classify_counterexample-rows.csv"]),
+    ("counterexample_lp3.json", ["counterexample_lp3-report.json",
+                                 "counterexample_lp3-rows.csv"]),
 ]
 
 

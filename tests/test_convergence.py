@@ -1,5 +1,7 @@
 """Convergence-mode classification and the unbounded very-weak-null sequence."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,8 @@ from ehrlab import (
     CertifiedValue,
     DimensionMismatchError,
     DualFamily,
-    EhrlabError,
     Element,
     NormSpec,
-    NullspaceEmptyError,
     SequenceGen,
     ToleranceError,
     appendix_counterexample,
@@ -27,7 +27,6 @@ from ehrlab import (
     norm,
     pair,
     strongly_convergent_sequence,
-    term,
     very_weak_norm,
 )
 from ehrlab import convergence
@@ -68,26 +67,21 @@ class TestGenerators:
     def test_basis_terms(self):
         g = basis_sequence(4)
         assert g.horizon == 4
-        np.testing.assert_array_equal(term(g, 2).coeffs, [0.0, 1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(g.elements[1].coeffs, [0.0, 1.0, 0.0, 0.0])
 
     def test_basis_horizon_must_fit(self):
         with pytest.raises(DimensionMismatchError):
             basis_sequence(4, horizon=5)
 
-    def test_term_index_range(self):
-        g = basis_sequence(4)
-        with pytest.raises(DimensionMismatchError):
-            term(g, 0)
-        with pytest.raises(DimensionMismatchError):
-            term(g, 5)
-
     def test_strongly_convergent_terms(self):
         target = Element([1.0, 2.0, 0.0])
         g = strongly_convergent_sequence(target, rate=0.5, horizon=8)
+        assert g.horizon == 8
+        assert g.target is target
         for n in (1, 3, 8):
             want = target.coeffs.copy()
             want[0] += 0.5 ** n
-            np.testing.assert_array_equal(term(g, n).coeffs, want)
+            np.testing.assert_array_equal(g.elements[n - 1].coeffs, want)
 
     @pytest.mark.parametrize("rate", [0.0, 1.0, -0.5, 2.0])
     def test_rate_validation(self, rate):
@@ -98,7 +92,7 @@ class TestGenerators:
         els = [Element([1.0, 0.0]), Element([0.0, 2.0])]
         g = custom_sequence(els)
         assert g.horizon == 2
-        assert term(g, 2) is els[1]
+        assert g.elements[1] is els[1]
 
     def test_custom_rejects_empty(self):
         with pytest.raises(ToleranceError):
@@ -106,12 +100,21 @@ class TestGenerators:
 
     def test_horizon_validation(self):
         with pytest.raises(ToleranceError):
-            SequenceGen(rule="basis", horizon=0)
+            basis_sequence(4, horizon=0)
+        with pytest.raises(ToleranceError):
+            SequenceGen(())
 
-    def test_unknown_rule(self):
-        g = SequenceGen(rule="mystery", horizon=2)
-        with pytest.raises(EhrlabError):
-            term(g, 1)
+    def test_fields(self):
+        assert [f.name for f in fields(SequenceGen)] == ["elements", "target"]
+
+    @pytest.mark.parametrize("mode", ["coordinate", "dense-rational"])
+    def test_counterexample_elements_bit_for_bit(self, mode):
+        fam = DualFamily(mode=mode, space=L2)
+        g = counterexample_sequence(fam, 5)
+        assert g.horizon == 5
+        for n, u in enumerate(g.elements, start=1):
+            np.testing.assert_array_equal(u.coeffs,
+                                          appendix_counterexample(fam, n).coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -149,16 +152,6 @@ class TestAppendixConstruction:
                     for k in range(1, cutoff_index(n) + 1))
         assert worst <= 1e-9
         assert very_weak_norm(fam, u, tau=0.5 / (n * n * max(n, 2))).hi < 1.0 / n
-
-    def test_full_rank_schedule_rejected(self):
-        with pytest.raises(NullspaceEmptyError):
-            appendix_counterexample(COORD, 4, dim_schedule=cutoff_index(4))
-
-    def test_explicit_schedules(self):
-        u = appendix_counterexample(COORD, 3, dim_schedule=12)
-        assert u.dim == 12
-        v = appendix_counterexample(COORD, 3, dim_schedule=lambda n: default_dim(n) + 4)
-        assert v.dim == default_dim(3) + 4
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +229,6 @@ class TestClassify:
     def test_tolerance_validation(self):
         with pytest.raises(ToleranceError):
             classify(basis_sequence(4), COORD, tol=0.0)
-
-    def test_needs_probes(self):
-        with pytest.raises(ToleranceError):
-            classify(basis_sequence(4), COORD, probes=[])
 
     def test_deterministic_report(self):
         a = classify(basis_sequence(16), COORD).as_dict()
