@@ -135,9 +135,6 @@ def _sequence(sc: dict, fam) -> SequenceGen:
     if rule == "appendix-counterexample":
         return counterexample_sequence(fam, horizon or 16)
     if rule == "custom":
-        if "elements" not in cfg:
-            raise ScenarioError("custom sequence needs elements",
-                                pointers=["/sequence/elements"])
         target = Element(cfg["target"]) if "target" in cfg else None
         return custom_sequence([Element(row) for row in cfg["elements"]], target)
     raise ScenarioError(f"unknown sequence rule {rule!r}",

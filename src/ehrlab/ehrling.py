@@ -45,6 +45,7 @@ from .optimize import (
     NormHandle,
     OptimizerSettings,
     SamplerSettings,
+    _row_blocks,
     _unit,
     ball_points,
     bisect_modulus,
@@ -181,10 +182,17 @@ def _sample(hy: NormHandle, h1: NormHandle, h2: NormHandle, pts: np.ndarray):
     """A verification sample with its (hy, h1, h2 lo, h2 hi) values.
 
     None of them depends on (eps, C), so every verification of the same
-    sample reuses them instead of re-evaluating all of its points.
+    sample reuses them instead of re-evaluating all of its points. They are
+    evaluated one row block of about 1 MiB at a time (optimize._row_blocks),
+    so memory is the sample plus one block, and every value equals the
+    whole-array evaluation byte for byte.
     """
-    lo, hi = h2.bounds(pts)
-    return pts, hy.hi(pts), h1.hi(pts), lo, hi
+    y, n1, lo, hi = (np.empty(pts.shape[0]) for _ in range(4))
+    for s in _row_blocks(*pts.shape):
+        lo[s], hi[s] = h2.bounds(pts[s])
+        y[s] = hy.hi(pts[s])
+        n1[s] = h1.hi(pts[s])
+    return pts, y, n1, lo, hi
 
 
 def _witness(hy: NormHandle, h1: NormHandle, h2: NormHandle, u: np.ndarray,

@@ -55,6 +55,14 @@ ITP_N0 = 1
 # bracket width in x that guarantees hi / lo <= 1 + BISECT_REL_WIDTH for the
 # rounded deltas bound * exp(x)
 _ITP_WIDTH = math.log1p(BISECT_REL_WIDTH) * (1.0 - 1e-9)
+# sample rows are scaled and evaluated in blocks of about this many bytes, so
+# each block's chain of apply, norm and enclosure stays in cache
+_BLOCK_BYTES = 1 << 20
+# blocks start at multiples of this many rows, and none is shorter than a full
+# block: each row then takes the BLAS kernel path it takes in a whole-array
+# call (OpenBLAS 0.3.31 gives other last bits to a block of a few rows, and
+# at d >= 32 to one of under 64 rows)
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -234,12 +242,30 @@ def _unit(h1: NormHandle, V: np.ndarray) -> np.ndarray:
     return V / np.where(n1 > 0.0, n1, 1.0)[:, None]
 
 
+def _row_blocks(n: int, dim: int):
+    """Slices cutting n rows of width dim into blocks of about _BLOCK_BYTES;
+    the last block takes the remainder."""
+    step = max(1, _BLOCK_BYTES // (8 * dim * _BLOCK_ROWS)) * _BLOCK_ROWS
+    starts = range(0, n - step + 1, step) or [0]
+    return [slice(a, b) for a, b in zip(starts, [*starts[1:], n])]
+
+
 def ball_points(sampler: SamplerSettings, dim: int, norm1: NormHandle) -> np.ndarray:
-    """Deterministic sample of the norm1 unit ball, plus normalized basis rows."""
+    """Deterministic sample of the norm1 unit ball, plus normalized basis rows.
+
+    The sample is held once: the normals are drawn into the one output
+    array, and each row block of about _BLOCK_BYTES is scaled onto the ball
+    in place. The points equal the whole-array formula byte for byte.
+    """
+    n = sampler.n_samples
     rng = np.random.default_rng(sampler.seed)
-    X = rng.standard_normal((sampler.n_samples, dim))
-    radii = rng.random(sampler.n_samples) ** (1.0 / dim)
-    return np.vstack([_unit(norm1, X) * radii[:, None], _unit(norm1, np.eye(dim))])
+    out = np.empty((n + dim, dim))
+    rng.standard_normal(out=out[:n])
+    radii = rng.random(n) ** (1.0 / dim)
+    for s in _row_blocks(n, dim):
+        out[s] = _unit(norm1, out[s]) * radii[s, None]
+    out[n:] = _unit(norm1, np.eye(dim))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,14 @@ def test_verify_bulk_required_layers_are_traced():
     assert _untraced(required, tracer) == {}
 
 
+def test_scenario_mix_classify_documents_validate():
+    # the schema accepts only the sequence keys each rule reads
+    wl = _load("workloads")
+    rng = np.random.default_rng(0)
+    for i in range(wl.PER_JOB):
+        cli.validate_scenario(wl.scenario_doc(rng, "classify", i)[0])
+
+
 def test_scenario_mix_required_layers_are_traced(tmp_path):
     Tracer = _load("tracer").Tracer
     required = _load("run").REQUIRED["scenario-mix"]

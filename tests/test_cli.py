@@ -217,6 +217,21 @@ class TestExitCodes:
             assert main(["run", str(p), "--output-dir", str(tmp_path)]) == 1
             assert message in capsys.readouterr().err, (section, key)
 
+    @pytest.mark.parametrize("sequence, message", [
+        ({"rule": "appendix-counterexample", "horizon": 2, "target": [1.0]},
+         "/sequence: 'target' is not one of"),
+        ({"rule": "basis", "dim": 3, "rate": 0.5}, "/sequence: 'rate' is not one of"),
+        ({"rule": "strongly-convergent", "elements": [[1.0]]},
+         "/sequence: 'elements' is not one of"),
+        ({"rule": "custom", "target": [1.0]}, "/sequence: 'elements' is a required property"),
+    ], ids=["appendix-target", "basis-rate", "strong-elements", "custom-no-elements"])
+    def test_sequence_keys_the_rule_ignores_fail_by_pointer(self, tmp_path, capsys,
+                                                            sequence, message):
+        doc = {"job": "classify", "family": {"mode": "coordinate"}, "sequence": sequence}
+        p = write_scenario(tmp_path, doc)
+        assert main(["run", str(p), "--output-dir", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("operator", [
         {"kind": "dense", "matrix": [[1.0, 0.0], [0.5]]},
         {"kind": "kernel", "samples": [[1.0, 0.5], [0.5]], "spacing": 0.5},

@@ -1,6 +1,8 @@
 """Certificates, sharp constants, falsification, and the reverse inequality."""
 
+import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -299,6 +301,90 @@ class TestVerify:
         rep = verify_certificate(Z, L2, L2, eps=0.1, C=0.0,
                                  sampler=SamplerSettings(n_samples=100))
         assert rep.n_points >= 100
+
+
+# ---------------------------------------------------------------------------
+# the verification sample, held once and evaluated in row blocks
+# ---------------------------------------------------------------------------
+
+def whole_array_ball_points(sampler: SamplerSettings, dim: int, h1: NormHandle) -> np.ndarray:
+    """The sample as one whole-array formula: the reference for the blocked one."""
+    rng = np.random.default_rng(sampler.seed)
+    X = rng.standard_normal((sampler.n_samples, dim))
+    radii = rng.random(sampler.n_samples) ** (1.0 / dim)
+    return np.vstack([optimize._unit(h1, X) * radii[:, None],
+                      optimize._unit(h1, np.eye(dim))])
+
+
+# a byte budget this small cuts blocks of optimize._BLOCK_ROWS rows, the least
+SMALLEST_BLOCK = 1
+# with the basis, 1,036 rows at d = 8 and 1,060 at d = 32: sixteen blocks of
+# 64 rows and a rest. At d = 32 the rest holds 4 random rows, and a matrix
+# product on those 36 rows alone takes another OpenBLAS kernel path
+ODD = SamplerSettings(n_samples=1028, seed=3)
+
+
+def at_both_block_sizes(monkeypatch, job):
+    """job() at the default block size and at the smallest one."""
+    out = [job()]
+    monkeypatch.setattr(optimize, "_BLOCK_BYTES", SMALLEST_BLOCK)
+    assert len(optimize._row_blocks(ODD.n_samples, 32)) > 1
+    out.append(job())
+    return out
+
+
+class TestBlockedSample:
+    @pytest.mark.parametrize("ns", [
+        L2, NormSpec.lp(3), NormSpec.weighted_lp(2, np.linspace(0.5, 2.0, 8)),
+        NormSpec.sobolev_h1(0.5)], ids=["lp2", "lp3", "weighted-lp", "h1"])
+    def test_ball_points_equal_the_whole_array_formula(self, ns, monkeypatch):
+        h1 = norm_handle(ns)
+        ref = whole_array_ball_points(ODD, 8, h1).tobytes()
+        for pts in at_both_block_sizes(monkeypatch, lambda: optimize.ball_points(ODD, 8, h1)):
+            assert pts.tobytes() == ref
+
+    @pytest.mark.parametrize("mode", ["coordinate", "dense-rational"])
+    @pytest.mark.parametrize("kind", ["diagonal", "dense", "kernel"])
+    @pytest.mark.parametrize("d", [8, 32])
+    def test_verify_does_not_depend_on_the_block_size(self, d, kind, mode, monkeypatch):
+        T = gallery(d)[kind]
+        fam = DualFamily(mode=mode, space=L2)
+        h1, h2, hy = ehrling._handles(T, L2, fam)
+        pts = optimize.ball_points(ODD, d, h1)
+
+        def run():
+            # a report shows one row of the sample, so compare every value too
+            values = [v.tobytes() for v in ehrling._sample(hy, h1, h2, pts)[1:]]
+            # one pair that holds on the sample and one that fails with a witness
+            reps = [verify_certificate(T, L2, fam, eps, C, sampler=ODD)
+                    for eps, C in ((10.0, 1.0), (0.125, 0.01))]
+            assert reps[0].passed and reps[1].witness is not None
+            return values, [(json.dumps(r.as_dict()), r.worst.coeffs.tobytes()) for r in reps]
+
+        default, smallest = at_both_block_sizes(monkeypatch, run)
+        assert smallest == default
+
+    def test_certify_does_not_depend_on_the_block_size(self, monkeypatch):
+        T = gallery()["kernel"]
+        fam = DualFamily(mode="coordinate", space=L2)
+        default, smallest = at_both_block_sizes(monkeypatch, lambda: json.dumps(
+            certify(T, L2, fam, eps_grid=(0.5, 0.125), opt=FAST, sampler=ODD).as_dict()))
+        assert smallest == default
+
+    @pytest.mark.parametrize("mode", ["coordinate", "dense-rational"])
+    def test_verify_holds_one_sample_plus_one_block(self, mode):
+        # whole-array evaluation peaked at 4.05x the sample's bytes here
+        d, n = 64, 40_000
+        rng = np.random.default_rng(0)
+        T = make_dense(rng.standard_normal((d, d)) * 2.0 ** -np.arange(d), L2, L2)
+        fam = DualFamily(mode=mode, space=L2)
+        tracemalloc.start()
+        try:
+            verify_certificate(T, L2, fam, 0.25, 1.0, sampler=SamplerSettings(n_samples=n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (n + d) * d * 8
 
 
 # ---------------------------------------------------------------------------
