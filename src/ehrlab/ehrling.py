@@ -179,13 +179,14 @@ def _handles(T: LinearOperator, norm1, norm2):
 
 
 def _sample(hy: NormHandle, h1: NormHandle, h2: NormHandle, pts: np.ndarray):
-    """A verification sample with its (hy, h1, h2 lo, h2 hi) values.
+    """Points with their (hy, h1, h2 lo, h2 hi) values: the verification
+    sample, a certificate's witness pool, or a single witness candidate.
 
     None of them depends on (eps, C), so every verification of the same
-    sample reuses them instead of re-evaluating all of its points. They are
-    evaluated one row block of about 1 MiB at a time (optimize._row_blocks),
-    so memory is the sample plus one block, and every value equals the
-    whole-array evaluation byte for byte.
+    points reuses them (see _residuals) instead of re-evaluating them. They
+    are evaluated one row block of about 1 MiB at a time
+    (optimize._row_blocks), so memory is the points plus one block, and
+    every value equals the whole-array evaluation byte for byte.
     """
     y, n1, lo, hi = (np.empty(pts.shape[0]) for _ in range(4))
     for s in _row_blocks(*pts.shape):
@@ -195,15 +196,27 @@ def _sample(hy: NormHandle, h1: NormHandle, h2: NormHandle, pts: np.ndarray):
     return pts, y, n1, lo, hi
 
 
+def _residuals(sample, eps: float, C: float):
+    """PASS residuals (norm2 lower bound) and FAIL residuals (norm2 upper
+    bound) of ||Tu|| <= eps norm1(u) + C norm2(u) at an evaluated sample."""
+    _, y, n1, lo, hi = sample
+    num = y - eps * n1
+    return num - C * lo, num - C * hi
+
+
+def _max_pass(eps: float, C: float, *samples) -> float:
+    """The largest PASS residual over evaluated samples; a NaN propagates."""
+    return float(np.max([_residuals(s, eps, C)[0].max() for s in samples]))
+
+
 def _witness(hy: NormHandle, h1: NormHandle, h2: NormHandle, u: np.ndarray,
              eps: float, C: float, note: str) -> Witness | None:
     """The Witness at u: the constant it forces and its residual against C,
     both taken with the norm2 upper bound (the FAIL side). None unless these
     recomputed values, not only the search's batch values (which can differ
     in the last bit), show the violation: residual > 0 and bound > C."""
-    U = u[None, :]
-    num = float(hy.hi(U)[0] - eps * h1.hi(U)[0])
-    den = float(h2.hi(U)[0])
+    _, y, n1, _, hi = _sample(hy, h1, h2, u[None, :])
+    num, den = float(y[0] - eps * n1[0]), float(hi[0])
     bound = num / den if den > 0.0 else float("inf")
     residual = num - C * den
     if not (residual > 0.0 and bound > C):
@@ -225,27 +238,6 @@ def _attack_residual(hy, h1, h2, eps, C, dim, opt, extra=None):
     return val, _unit(h1, v[None, :])[0]
 
 
-def _verify_points(hy, h1, h2, eps, C, sample, witnesses):
-    """PASS and FAIL residuals on the sample followed by the witnesses.
-
-    Returns (pass residuals, fail residuals, point), where point(k) is the
-    k-th point in that order.
-    """
-    pts, y, n1, lo, hi = sample
-    W = None
-    if witnesses:
-        W = np.vstack([np.atleast_2d(w) for w in witnesses])
-        if W.shape[1] < pts.shape[1]:
-            W = np.pad(W, ((0, 0), (0, pts.shape[1] - W.shape[1])))
-        _, wy, wn1, wlo, whi = _sample(hy, h1, h2, W)
-        y, n1, lo, hi = (np.concatenate(pair) for pair in
-                         ((y, wy), (n1, wn1), (lo, wlo), (hi, whi)))
-    pass_res = y - eps * n1 - C * lo
-    fail_res = y - eps * n1 - C * hi
-    n = pts.shape[0]
-    return pass_res, fail_res, lambda k: pts[k] if k < n else W[k - n]
-
-
 def verify_certificate(T: LinearOperator, norm1, norm2, eps: float, C: float,
                        sampler: SamplerSettings = SamplerSettings(),
                        opt: OptimizerSettings = OptimizerSettings()) -> VerificationReport:
@@ -260,12 +252,12 @@ def verify_certificate(T: LinearOperator, norm1, norm2, eps: float, C: float,
     dim = _operator_dim(T, opt)
     h1, h2, hy = _handles(T, norm1, norm2)
     sample = _sample(hy, h1, h2, ball_points(sampler, dim, h1))
-    pass_res, fail_res, point = _verify_points(hy, h1, h2, eps, C, sample, ())
+    pass_res, fail_res = _residuals(sample, eps, C)
     k = int(np.argmax(pass_res))
-    max_pass, worst = float(pass_res[k]), point(k)
+    max_pass, worst = float(pass_res[k]), sample[0][k]
     witness = None
     if fail_res.max() > 0.0:
-        witness = _witness(hy, h1, h2, point(int(np.argmax(fail_res))), eps, C,
+        witness = _witness(hy, h1, h2, sample[0][int(np.argmax(fail_res))], eps, C,
                            "upper-bound residual positive: genuine violation")
     return VerificationReport(
         passed=max_pass <= 0.0,
@@ -294,11 +286,10 @@ def _certify_rows(hy, h1, h2, eps_grid, dim, opt, sampler):
         C = eps / delta
         # hardening: shrink delta until the residual attack comes back empty
         for _ in range(opt.harden_rounds):
-            warm = np.vstack([np.atleast_2d(w) for w in pool]) if pool else None
             attack_val, attacker = _attack_residual(
-                hy, h1, h2, eps, C, dim, opt, extra=warm)
+                hy, h1, h2, eps, C, dim, opt, extra=np.vstack(pool))
             pool.append(attacker)
-            max_pass = _verify_points(hy, h1, h2, eps, C, sample, pool)[0].max()
+            max_pass = _max_pass(eps, C, sample, _sample(hy, h1, h2, np.vstack(pool)))
             if max(attack_val, max_pass) <= 0.0:
                 break
             delta *= 0.8
@@ -314,12 +305,8 @@ def _certify_rows(hy, h1, h2, eps_grid, dim, opt, sampler):
                               delta=rows[i].eps / rows[i + 1].C)
 
     # final verification stamps the reported residuals
-    out = []
-    all_pool = [w for pool in pools for w in pool]
-    for r in rows:
-        max_pass = _verify_points(hy, h1, h2, r.eps, r.C, sample, all_pool)[0].max()
-        out.append(replace(r, residual=float(max_pass)))
-    return out
+    joint = _sample(hy, h1, h2, np.vstack([w for pool in pools for w in pool]))
+    return [replace(r, residual=_max_pass(r.eps, r.C, sample, joint)) for r in rows]
 
 
 def certify(T: LinearOperator, norm1, norm2, eps_grid=DEFAULT_EPS_GRID,

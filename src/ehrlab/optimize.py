@@ -14,11 +14,12 @@ rule from the closed-form subgradients of its pieces. Because objectives are
 Every quotient is built by ratio_objective; only the restricted sup is not.
 
 Norm-like quantities enter through NormHandle, which returns the lower and
-upper evaluations from one call, or one of them with a subgradient. Plain
-norms have lo = hi; a dual family contributes the certified enclosure of the
-very weak norm at the fixed term count ENCLOSURE_TERMS (fixed so both
-bounds stay exactly positively homogeneous); an operator handle evaluates
-||A_k ... A_1 u|| and pulls gradients back through the adjoints.
+upper evaluations from one call, or one of them with a subgradient. A
+NormSpec handle has lo = hi and may carry an operator chain: it then
+evaluates ||A_k ... A_1 u|| and pulls gradients back through the adjoints.
+A dual family contributes the certified enclosure of the very weak norm at
+the fixed term count ENCLOSURE_TERMS (fixed so both bounds stay exactly
+positively homogeneous).
 """
 
 from __future__ import annotations
@@ -125,17 +126,33 @@ class NormHandle:
 
 
 class _SpecHandle(NormHandle):
-    def __init__(self, ns: NormSpec):
+    """u -> ns(A_k ... A_1 u) for the operators ops, applied first to last
+    (the norm itself when there are none). Gradients pull the norm's gradient
+    back through the adjoints, last operator first."""
+
+    def __init__(self, ns: NormSpec, ops=()):
         self.ns = ns
-        self.label = ns.label
+        self.ops = tuple(ops)
+        self.label = " after ".join([ns.label] + [op.label for op in reversed(self.ops)])
+
+    def _apply(self, U):
+        widths = []
+        for op in self.ops:
+            widths.append(U.shape[1])
+            U = apply_batch(op, U)
+        return U, widths
 
     def bounds(self, U):
-        v = norm_batch(self.ns, U)
+        v = norm_batch(self.ns, self._apply(U)[0])
         return v, v
 
     def lo_grad(self, U):
-        v = norm_batch(self.ns, U)
-        return v, _norm_grad(self.ns, U, v)
+        Y, widths = self._apply(U)
+        v = norm_batch(self.ns, Y)
+        G = _norm_grad(self.ns, Y, v)
+        for op, d in zip(reversed(self.ops), reversed(widths)):
+            G = _adjoint_batch(op, G, d)
+        return v, G
 
     hi_grad = lo_grad
 
@@ -184,40 +201,6 @@ class _FamilyHandle(NormHandle):
         return hi, G
 
 
-class _OperatorHandle(NormHandle):
-    """u -> inner(A_k ... A_1 u) for an operator chain, inner at its upper bound.
-
-    Both bounds are the inner upper bound (the conservative side for an
-    objective value). Gradients pull the inner gradient back through the
-    adjoints, last operator first.
-    """
-
-    def __init__(self, ops, inner: NormHandle):
-        self.ops = tuple(ops)
-        self.inner = inner
-        self.label = " after ".join([inner.label] + [op.label for op in reversed(self.ops)])
-
-    def _apply(self, U):
-        widths = []
-        for op in self.ops:
-            widths.append(U.shape[1])
-            U = apply_batch(op, U)
-        return U, widths
-
-    def bounds(self, U):
-        v = self.inner.hi(self._apply(U)[0])
-        return v, v
-
-    def lo_grad(self, U):
-        Y, widths = self._apply(U)
-        v, G = self.inner.hi_grad(Y)
-        for op, d in zip(reversed(self.ops), reversed(widths)):
-            G = _adjoint_batch(op, G, d)
-        return v, G
-
-    hi_grad = lo_grad
-
-
 def norm_handle(obj) -> NormHandle:
     """Wrap a NormSpec or DualFamily for batched use."""
     if isinstance(obj, DualFamily):
@@ -229,7 +212,7 @@ def norm_handle(obj) -> NormHandle:
 
 def operator_handle(ops, ynorm) -> NormHandle:
     """u -> ||A_k ... A_1 u||_Y for the operators ops, applied first to last."""
-    return _OperatorHandle(ops, norm_handle(ynorm))
+    return _SpecHandle(ynorm, ops)
 
 
 # ---------------------------------------------------------------------------

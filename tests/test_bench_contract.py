@@ -84,12 +84,18 @@ def test_verify_bulk_required_layers_are_traced():
     assert _untraced(required, tracer) == {}
 
 
-def test_scenario_mix_classify_documents_validate():
-    # the schema accepts only the sequence keys each rule reads
+def test_scenario_mix_documents_validate():
+    # the schema accepts only the keys each job, operator kind and sequence
+    # rule reads; every document validates as a pass and the warm-up send it
     wl = _load("workloads")
     rng = np.random.default_rng(0)
-    for i in range(wl.PER_JOB):
-        cli.validate_scenario(wl.scenario_doc(rng, "classify", i)[0])
+    for job in wl.JOBS:
+        for i in range(wl.PER_JOB):
+            doc = wl.scenario_doc(rng, job, i)[0]
+            doc["output"] = {"report": "report.json", "csv": "rows.csv"}
+            cli.validate_scenario(doc)
+            doc["budget"] = dict(doc.get("budget", {}), n_starts=4)
+            cli.validate_scenario(doc)
 
 
 def test_scenario_mix_required_layers_are_traced(tmp_path):

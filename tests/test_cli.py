@@ -28,6 +28,15 @@ SCENARIOS = REPO / "scenarios"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
+EMBEDDING = {"kind": "sobolev-embedding", "d": 4, "h": 0.2}
+
+
+def certify_doc(**keys) -> dict:
+    """A valid certify scenario of a diagonal, with keys added or replaced."""
+    return {"job": "certify", "operator": {"kind": "diagonal", "lambda": [0.5]},
+            "norm1": {"kind": "lp", "p": 2}, "norm2": {"mode": "coordinate"}, **keys}
+
+
 def write_scenario(tmp_path: Path, doc: dict) -> Path:
     p = tmp_path / "scenario.json"
     p.write_text(json.dumps(doc), encoding="utf-8")
@@ -231,6 +240,32 @@ class TestExitCodes:
         p = write_scenario(tmp_path, doc)
         assert main(["run", str(p), "--output-dir", str(tmp_path)]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, message", [
+        (certify_doc(eps=0.5, c_max=3.0), "/: 'c_max' is not one of"),
+        (certify_doc(operator={"kind": "kernel", "spacing": 0.5}),
+         "/operator: {'kind': 'kernel', 'spacing': 0.5} is not valid under any"),
+        (certify_doc(operator={"kind": "kernel", "samples": [[1.0]], "csv": "kernel.csv",
+                               "spacing": 0.5}), "/operator: {'kind': 'kernel', 'samples'"),
+        (certify_doc(operator={"kind": "diagonal", "lambda": [0.5], "spacing": 0.5}),
+         "/operator: 'spacing' is not one of"),
+        ({"job": "three-space", "inner": dict(EMBEDDING, domain={"kind": "lp", "p": 3}),
+          "outer": {"kind": "diagonal", "lambda": [1.0] * 5}},
+         "/inner: 'domain' is not one of"),
+        ({"job": "three-space", "inner": {"kind": "diagonal", "lambda": [1.0] * 4},
+          "outer": dict(EMBEDDING, codomain={"kind": "lp", "p": 3})},
+         "/outer: 'codomain' is not one of"),
+    ], ids=["certify-falsify-keys", "kernel-no-samples", "kernel-samples-and-csv",
+            "diagonal-spacing", "embedding-domain", "embedding-codomain"])
+    def test_keys_the_job_or_kind_ignores_fail_by_pointer(self, tmp_path, capsys,
+                                                          doc, message):
+        # a key no reader uses, or a kernel with both or neither data source,
+        # exits 1 before anything runs instead of being ignored or dying
+        # with a KeyError
+        p = write_scenario(tmp_path, doc)
+        assert main(["run", str(p), "--output-dir", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [p]
 
     @pytest.mark.parametrize("operator", [
         {"kind": "dense", "matrix": [[1.0, 0.0], [0.5]]},

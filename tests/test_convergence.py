@@ -170,6 +170,14 @@ class TestProbes:
         for f in default_probes(COORD, 10):
             assert dual_norm(L2, f) <= 1.0 + 1e-9
 
+    def test_a_finite_family_ends_the_enumerated_probes(self):
+        # a coordinate weighted-lp family has one member per weight, so the
+        # enumeration stops after 8 members and the random probes follow
+        X = NormSpec.weighted_lp(2, [1.0 + 0.1 * k for k in range(8)])
+        fam = DualFamily(mode="coordinate", space=X)
+        assert len(default_probes(fam, 8)) == 8 + convergence.N_RANDOM == 40
+        assert classify(basis_sequence(8), fam, tol=1e-2).probe_count == 40
+
     def test_random_probes_decay_on_deep_coordinates(self):
         probes = default_probes(COORD, 40)
         for f in probes[32:]:

@@ -445,6 +445,44 @@ class TestCertify:
         assert [r.eps for r in cert.rows] == [0.5]
 
 
+class TestHardening:
+    """A modulus the search overestimates is shrunk by hardening until the
+    attack and the verification both come back empty."""
+
+    @staticmethod
+    def certify_inflated(monkeypatch, harden_rounds):
+        # every searched delta is made 4x too large, so the first rounds fail
+        real = ehrling.bisect_modulus
+        inflated = []
+
+        def inflate(*args):
+            out = [(4.0 * delta, pool) for delta, pool in real(*args)]
+            inflated.extend(delta for delta, _ in out)
+            return out
+
+        monkeypatch.setattr(ehrling, "bisect_modulus", inflate)
+        T = make_diagonal([2.0 ** (1 - k) for k in range(1, 9)], L2, L2)
+        opt = OptimizerSettings(n_starts=16, iterations=20, polish_rounds=10,
+                                harden_rounds=harden_rounds)
+        cert = certify(T, L2, DualFamily(mode="coordinate", space=L2), (0.5, 0.125),
+                       opt=opt, sampler=SamplerSettings(n_samples=2000))
+        return cert.rows, inflated
+
+    def test_inflated_moduli_shrink_until_the_rows_verify(self, monkeypatch):
+        rows, inflated = self.certify_inflated(monkeypatch, 8)
+        for row, delta in zip(rows, inflated):
+            k = round(math.log(row.delta / delta) / math.log(0.8))
+            assert k >= 1, (row, delta)
+            assert row.delta == pytest.approx(delta * 0.8 ** k, rel=1e-12)
+            assert row.C == pytest.approx(row.eps / row.delta, rel=1e-12)
+            assert row.residual <= 0.0, row
+
+    def test_without_hardening_the_inflated_rows_fail(self, monkeypatch):
+        rows, _ = self.certify_inflated(monkeypatch, 0)
+        assert [r.residual for r in rows] == [pytest.approx(0.25, abs=1e-3),
+                                              pytest.approx(0.625, abs=1e-3)]
+
+
 # ---------------------------------------------------------------------------
 # optimal_constant
 # ---------------------------------------------------------------------------
@@ -513,6 +551,14 @@ class TestFalsify:
         assert w.residual == 1.0 - 0.5 - 1e4 * 2.0 ** (-15)
         assert w.lower_bound_on_C > 1e4
         assert norm(L2, w.u) <= 1.0 + 1e-12
+
+    def test_shift_searches_the_default_truncation(self):
+        # the shift carries no dimension, so without opt.dim the search runs
+        # in 16 coordinates; e_15 is the first direction that forces C > 1e4
+        small = OptimizerSettings(n_starts=4, iterations=4, polish_rounds=2)
+        w = falsify(make_shift(L2, L2), L2, DualFamily(mode="coordinate", space=L2),
+                    0.5, 1e4, opt=small)
+        assert (w.u.dim, w.note) == (16, "basis direction e_15")
 
     def test_compact_diagonal_not_found(self):
         lam = [2.0 ** (-k) for k in range(1, 33)]
