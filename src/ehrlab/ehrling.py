@@ -45,6 +45,7 @@ from .optimize import (
     NormHandle,
     OptimizerSettings,
     SamplerSettings,
+    _each_block,
     _row_blocks,
     _unit,
     ball_points,
@@ -185,14 +186,19 @@ def _sample(hy: NormHandle, h1: NormHandle, h2: NormHandle, pts: np.ndarray):
     None of them depends on (eps, C), so every verification of the same
     points reuses them (see _residuals) instead of re-evaluating them. They
     are evaluated one row block of about 1 MiB at a time
-    (optimize._row_blocks), so memory is the points plus one block, and
-    every value equals the whole-array evaluation byte for byte.
+    (optimize._row_blocks) through optimize._each_block, which shares the
+    blocks of a sample over 8 blocks with one worker thread. So memory is
+    the points plus up to two blocks, and every value equals the
+    whole-array evaluation byte for byte.
     """
     y, n1, lo, hi = (np.empty(pts.shape[0]) for _ in range(4))
-    for s in _row_blocks(*pts.shape):
+
+    def block(s):
         lo[s], hi[s] = h2.bounds(pts[s])
         y[s] = hy.hi(pts[s])
         n1[s] = h1.hi(pts[s])
+
+    _each_block(block, _row_blocks(*pts.shape))
     return pts, y, n1, lo, hi
 
 

@@ -255,8 +255,14 @@ class TestExitCodes:
         ({"job": "three-space", "inner": {"kind": "diagonal", "lambda": [1.0] * 4},
           "outer": dict(EMBEDDING, codomain={"kind": "lp", "p": 3})},
          "/outer: 'codomain' is not one of"),
+        ({"job": "norm", "family": {"mode": "coordinate"}, "element": [1.0, 0.5],
+          "sampler": {"n_samples": 5}}, "/: 'sampler' is not one of"),
+        ({"job": "falsify", "operator": {"kind": "diagonal", "lambda": [0.5]},
+          "norm1": {"kind": "lp", "p": 2}, "family": {"mode": "coordinate"}, "eps": 0.25,
+          "c_max": 1.0, "sampler": {"n_samples": 5}}, "/: 'sampler' is not one of"),
     ], ids=["certify-falsify-keys", "kernel-no-samples", "kernel-samples-and-csv",
-            "diagonal-spacing", "embedding-domain", "embedding-codomain"])
+            "diagonal-spacing", "embedding-domain", "embedding-codomain",
+            "norm-sampler", "falsify-sampler"])
     def test_keys_the_job_or_kind_ignores_fail_by_pointer(self, tmp_path, capsys,
                                                           doc, message):
         # a key no reader uses, or a kernel with both or neither data source,

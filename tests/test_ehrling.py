@@ -2,8 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,7 +42,7 @@ from ehrlab import (
     verify_certificate,
     very_weak_norm,
 )
-from ehrlab import ehrling, optimize
+from ehrlab import ehrling, optimize, spaces
 from ehrlab.cli import load_scenario, run
 from ehrlab.errors import DimensionMismatchError
 from ehrlab.optimize import NormHandle, norm_handle, operator_handle
@@ -324,11 +330,16 @@ SMALLEST_BLOCK = 1
 ODD = SamplerSettings(n_samples=1028, seed=3)
 
 
-def at_both_block_sizes(monkeypatch, job):
-    """job() at the default block size and at the smallest one."""
+def at_each_block_setting(monkeypatch, job):
+    """job() at the default block size, then at the smallest one on the
+    calling thread alone, then at the smallest one with every sample shared
+    with the worker thread."""
     out = [job()]
     monkeypatch.setattr(optimize, "_BLOCK_BYTES", SMALLEST_BLOCK)
-    assert len(optimize._row_blocks(ODD.n_samples, 32)) > 1
+    assert len(optimize._row_blocks(ODD.n_samples, 32)) > optimize._SERIAL_BLOCKS
+    monkeypatch.setattr(optimize, "_SERIAL_BLOCKS", 1 << 62)
+    out.append(job())
+    monkeypatch.setattr(optimize, "_SERIAL_BLOCKS", 0)
     out.append(job())
     return out
 
@@ -340,7 +351,7 @@ class TestBlockedSample:
     def test_ball_points_equal_the_whole_array_formula(self, ns, monkeypatch):
         h1 = norm_handle(ns)
         ref = whole_array_ball_points(ODD, 8, h1).tobytes()
-        for pts in at_both_block_sizes(monkeypatch, lambda: optimize.ball_points(ODD, 8, h1)):
+        for pts in at_each_block_setting(monkeypatch, lambda: optimize.ball_points(ODD, 8, h1)):
             assert pts.tobytes() == ref
 
     @pytest.mark.parametrize("mode", ["coordinate", "dense-rational"])
@@ -361,15 +372,15 @@ class TestBlockedSample:
             assert reps[0].passed and reps[1].witness is not None
             return values, [(json.dumps(r.as_dict()), r.worst.coeffs.tobytes()) for r in reps]
 
-        default, smallest = at_both_block_sizes(monkeypatch, run)
-        assert smallest == default
+        default, serial, threaded = at_each_block_setting(monkeypatch, run)
+        assert serial == default and threaded == default
 
     def test_certify_does_not_depend_on_the_block_size(self, monkeypatch):
         T = gallery()["kernel"]
         fam = DualFamily(mode="coordinate", space=L2)
-        default, smallest = at_both_block_sizes(monkeypatch, lambda: json.dumps(
+        default, serial, threaded = at_each_block_setting(monkeypatch, lambda: json.dumps(
             certify(T, L2, fam, eps_grid=(0.5, 0.125), opt=FAST, sampler=ODD).as_dict()))
-        assert smallest == default
+        assert serial == default and threaded == default
 
     @pytest.mark.parametrize("mode", ["coordinate", "dense-rational"])
     def test_verify_holds_one_sample_plus_one_block(self, mode):
@@ -385,6 +396,134 @@ class TestBlockedSample:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * (n + d) * d * 8
+
+    def test_certify_at_d64_with_the_default_sampler_starts_no_worker(self, monkeypatch):
+        # certify's own sample (10,064 rows, 4 blocks at d = 64) stays on the
+        # calling thread, so its memory and timing are those of one thread
+        def no_worker():
+            raise AssertionError("a default certify sample reached the worker")
+
+        monkeypatch.setattr(optimize, "_worker", no_worker)
+        T = make_diagonal(2.0 ** (-0.5 * np.arange(64)), L2, L2)
+        before = threading.active_count()
+        cert = certify(T, L2, DualFamily(mode="coordinate", space=L2), eps_grid=(0.5,),
+                       opt=FAST)
+        assert cert.rows[0].residual <= 0.0
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("where", ["sample", "ball_points"])
+    def test_a_late_block_error_reaches_the_caller_after_every_block_ends(
+            self, where, monkeypatch):
+        monkeypatch.setattr(optimize, "_BLOCK_BYTES", SMALLEST_BLOCK)
+
+        class LateBlockError(Exception):
+            pass
+
+        class Failing(NormHandle):
+            """l2 norm that raises on its sixth call; every call is slow
+            enough that the other thread's block is still running then."""
+
+            def __init__(self):
+                self.inner, self.lock = norm_handle(L2), threading.Lock()
+                self.calls = self.running = 0
+
+            def bounds(self, U):
+                with self.lock:
+                    self.calls += 1
+                    self.running += 1
+                    late = self.calls == 6
+                try:
+                    time.sleep(0.01)
+                    if late:
+                        raise LateBlockError
+                    return self.inner.bounds(U)
+                finally:
+                    with self.lock:
+                        self.running -= 1
+
+        h = Failing()
+        pts = optimize.ball_points(ODD, 8, norm_handle(L2))
+        assert len(optimize._row_blocks(*pts.shape)) > optimize._SERIAL_BLOCKS
+        with pytest.raises(LateBlockError):
+            if where == "sample":
+                ehrling._sample(h, h, h, pts)
+            else:
+                optimize.ball_points(ODD, 8, h)
+        calls = h.calls
+        assert h.running == 0
+        time.sleep(0.1)
+        assert h.calls == calls  # no cancelled block started later
+
+    def test_dense_verify_on_the_worker_builds_each_member_once(self, monkeypatch):
+        monkeypatch.setattr(optimize, "_BLOCK_BYTES", SMALLEST_BLOCK)
+        built = Counter()
+        raw = spaces._dense_raw_vector
+
+        def counted(k):  # slow, so a second thread building the prefix meets it
+            built[k] += 1
+            time.sleep(0.001)
+            return raw(k)
+
+        monkeypatch.setattr(spaces, "_dense_raw_vector", counted)
+        T = gallery(32)["dense"]
+        assert len(optimize._row_blocks(ODD.n_samples + 32, 32)) > optimize._SERIAL_BLOCKS
+        verify_certificate(T, L2, DualFamily(mode="dense-rational", space=L2), 10.0, 1.0,
+                           sampler=ODD)
+        assert len(built) == optimize.ENCLOSURE_TERMS
+        assert set(built.values()) == {1}
+
+    def test_a_nested_call_from_the_worker_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(optimize, "_SERIAL_BLOCKS", 0)
+        blocks = [slice(i, i + 1) for i in range(6)]
+        inner_threads = []
+
+        def inner(s):
+            inner_threads.append(threading.current_thread().name)
+
+        def outer(s):
+            if threading.current_thread().name.startswith(optimize._WORKER):
+                optimize._each_block(inner, blocks)
+
+        # on a helper thread, so that a deadlock fails the test instead of
+        # hanging it
+        caller = threading.Thread(target=optimize._each_block, args=(outer, blocks),
+                                  daemon=True)
+        caller.start()
+        caller.join(timeout=30)
+        assert not caller.is_alive()
+        assert len(inner_threads) == 6 * len(blocks[1::2])
+        assert all(name.startswith(optimize._WORKER) for name in inner_threads)
+
+    def test_a_forked_child_runs_a_threaded_verify(self):
+        # in a fresh interpreter, so both processes also exit the normal way,
+        # through the executor's exit hook; a hung child ends by SIGALRM
+        script = """if True:
+            import os, signal, sys
+            from ehrlab import (DualFamily, NormSpec, SamplerSettings, make_kernel,
+                                optimize, verify_certificate)
+            optimize._BLOCK_BYTES, optimize._SERIAL_BLOCKS = 1, 0
+            L2 = NormSpec.lp(2)
+            T = make_kernel([[2.0 ** -abs(i - j) for j in range(8)] for i in range(8)],
+                            0.125, L2, L2)
+
+            def report():
+                rep = verify_certificate(T, L2, DualFamily(mode="coordinate", space=L2),
+                                         10.0, 1.0, sampler=SamplerSettings(1028, seed=3))
+                return rep.as_dict(), rep.worst.coeffs.tobytes()
+
+            expected = report()
+            assert optimize._pool is not None
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(60)
+                sys.exit(0 if report() == expected else 3)
+            sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        """
+        paths = [str(Path(optimize.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(q for q in paths if q))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------
