@@ -24,10 +24,13 @@ constant, falsify, hardening attack), each enclosure on its side as above.
 
 The moduli of all rows come from one search (optimize.bisect_modulus): the
 upper bound on delta and the descent that brackets each row are shared, and
-each bracket is narrowed by ITP interpolation in ln delta. Certificates are
-hardened after that search: a dedicated ascent attacks the PASS residual,
-and delta shrinks until the attack comes back empty. Rows of
-a certificate table may inherit the constant of a smaller-eps row (valid
+each bracket is narrowed by ITP interpolation in ln delta, all open rows
+sharing one grouped search per round. Certificates are hardened after that
+search: a dedicated ascent attacks the PASS residual, and delta shrinks
+until the attack comes back empty; each round attacks every row not yet
+hardened in one grouped search. A grouped search calls each objective on
+one row's directions only, so every row comes out as it would alone. Rows
+of a certificate table may inherit the constant of a smaller-eps row (valid
 there implies valid here), which enforces monotonicity without weakening any
 claim.
 """
@@ -46,6 +49,7 @@ from .optimize import (
     OptimizerSettings,
     SamplerSettings,
     _each_block,
+    _maximize_group,
     _row_blocks,
     _unit,
     ball_points,
@@ -235,13 +239,13 @@ def _witness(hy: NormHandle, h1: NormHandle, h2: NormHandle, u: np.ndarray,
 # public operations
 # ---------------------------------------------------------------------------
 
-def _attack_residual(hy, h1, h2, eps, C, dim, opt, extra=None):
-    """Ascent on the PASS residual hy - eps*h1 - C*h2.lo over the h1 unit sphere,
-    searched as its 0-homogeneous form (hy - eps*h1 - C*h2.lo) / h1."""
+def _attack(hy, h1, h2, eps, C, extra):
+    """The search problem of the ascent on the PASS residual
+    hy - eps*h1 - C*h2.lo over the h1 unit sphere, searched as its
+    0-homogeneous form (hy - eps*h1 - C*h2.lo) / h1 from the starts extra."""
     f, fg = ratio_objective([(1.0, hy, "hi"), (-eps, h1, "hi"), (-C, h2, "lo")],
                             (h1, "hi"))
-    val, v = maximize_direction(f, dim, opt, extra_starts=extra, value_and_grad=fg)
-    return val, _unit(h1, v[None, :])[0]
+    return f, fg, extra
 
 
 def verify_certificate(T: LinearOperator, norm1, norm2, eps: float, C: float,
@@ -278,6 +282,11 @@ def _certify_rows(hy, h1, h2, eps_grid, dim, opt, sampler):
     """Search every row's modulus in one call, then harden and verify one row
     per eps; then enforce monotonicity.
 
+    Hardening shrinks a row's delta by 0.8 until the residual attack comes
+    back empty. Each round attacks every row not yet hardened in one grouped
+    search (optimize._maximize_group); a row's attacks depend on its own
+    pool alone, so it hardens exactly as it would by itself.
+
     hy is the bounded side and h2 the constraint norm, so the reverse form
     comes through here with its handles exchanged.
     """
@@ -285,24 +294,29 @@ def _certify_rows(hy, h1, h2, eps_grid, dim, opt, sampler):
     if not eps_sorted:
         raise ToleranceError("eps grid must contain at least one value")
     sample = _sample(hy, h1, h2, ball_points(sampler, dim, h1))
-    rows = []
-    pools = []
     moduli = bisect_modulus(hy, h1, h2, eps_sorted, dim, opt)
-    for eps, (delta, pool) in zip(eps_sorted, moduli):
-        C = eps / delta
-        # hardening: shrink delta until the residual attack comes back empty
-        for _ in range(opt.harden_rounds):
-            attack_val, attacker = _attack_residual(
-                hy, h1, h2, eps, C, dim, opt, extra=np.vstack(pool))
-            pool.append(attacker)
-            max_pass = _max_pass(eps, C, sample, _sample(hy, h1, h2, np.vstack(pool)))
+    deltas = [delta for delta, _ in moduli]
+    pools = [pool for _, pool in moduli]
+    open_rows = list(range(len(eps_sorted)))
+    for _ in range(opt.harden_rounds):
+        if not open_rows:
+            break
+        Cs = [eps_sorted[i] / deltas[i] for i in open_rows]
+        found = _maximize_group([_attack(hy, h1, h2, eps_sorted[i], C, np.vstack(pools[i]))
+                                 for i, C in zip(open_rows, Cs)], dim, opt)
+        still_open = []
+        for i, C, (attack_val, v) in zip(open_rows, Cs, found):
+            pools[i].append(_unit(h1, v[None, :])[0])
+            max_pass = _max_pass(eps_sorted[i], C, sample,
+                                 _sample(hy, h1, h2, np.vstack(pools[i])))
             if max(attack_val, max_pass) <= 0.0:
-                break
-            delta *= 0.8
-            C = eps / delta
-        rows.append(CertificateRow(eps=eps, delta=delta, C=C,
-                                   method="modulus", residual=float("nan")))
-        pools.append(pool)
+                continue  # hardened
+            deltas[i] *= 0.8
+            still_open.append(i)
+        open_rows = still_open
+    rows = [CertificateRow(eps=eps, delta=delta, C=eps / delta, method="modulus",
+                           residual=float("nan"))
+            for eps, delta in zip(eps_sorted, deltas)]
 
     # sound envelope: a row may inherit the constant of any smaller-eps row
     for i in range(len(rows) - 2, -1, -1):

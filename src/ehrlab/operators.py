@@ -55,16 +55,23 @@ class LinearOperator:
 # application
 # ---------------------------------------------------------------------------
 
+def _diagonal_rows(U: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The rows of U times lam, which is zero-extended past its stored prefix,
+    as a C-ordered array."""
+    d = U.shape[1]
+    if lam.size >= d:
+        return np.multiply(U, lam[:d], order="C")
+    out = np.zeros(U.shape)
+    out[:, :lam.size] = U[:, :lam.size] * lam
+    return out
+
+
 def apply_batch(T: LinearOperator, U: np.ndarray) -> np.ndarray:
     """Apply T to the rows of U; returns rows in the codomain truncation."""
     U = np.atleast_2d(np.asarray(U, dtype=np.float64))
     n, d = U.shape
     if T.repr_kind == "diagonal":
-        lam = T.lam
-        m = min(d, lam.size)
-        out = np.zeros((n, d))
-        out[:, :m] = U[:, :m] * lam[:m]
-        return out
+        return _diagonal_rows(U, T.lam)
     if T.repr_kind == "dense":
         rows, cols = T.matrix.shape
         if d > cols:
@@ -96,10 +103,7 @@ def _adjoint_batch(T: LinearOperator, G: np.ndarray, d: int) -> np.ndarray:
     the matrix: diagonal and shift act entrywise.
     """
     if T.repr_kind == "diagonal":
-        m = min(d, T.lam.size)
-        out = np.zeros((G.shape[0], d))
-        out[:, :m] = G[:, :m] * T.lam[:m]
-        return out
+        return _diagonal_rows(G[:, :d], T.lam)
     if T.repr_kind == "dense":
         return (G @ T.matrix)[:, :d]
     if T.repr_kind == "kernel":

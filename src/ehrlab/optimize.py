@@ -7,6 +7,13 @@ coordinate-axis scan, a batch of random starts driven by subgradient ascent
 with per-start adaptive steps, then a pattern-search polish around the
 leaders. Identical settings give bit-for-bit identical trajectories.
 
+Independent searches of one certificate (the rows' ITP trials in
+bisect_modulus, the hardening attacks in ehrling) run as one grouped search,
+_maximize_group, of which maximize_direction is the one-problem case: the
+ascent and polish arithmetic runs once over the stacked rows of all
+problems, while each objective call sees the rows of one problem only, so
+every problem's result is bit for bit that of a search of its own.
+
 Every objective comes as a pair: the value-only map used by the scan and the
 polish, and a value-and-gradient map used by the ascent, built by the chain
 rule from the closed-form subgradients of its pieces. Because objectives are
@@ -360,7 +367,7 @@ def ball_points(sampler: SamplerSettings, dim: int, norm1: NormHandle) -> np.nda
 def _unit_rows(V: np.ndarray) -> np.ndarray:
     n = np.sqrt((V * V).sum(axis=1))
     bad = n < 1e-300
-    if np.any(bad):
+    if bad.any():
         V = V.copy()
         V[bad] = 0.0
         V[bad, 0] = 1.0
@@ -371,9 +378,15 @@ def _unit_rows(V: np.ndarray) -> np.ndarray:
 def _usable(vals: np.ndarray, G: np.ndarray):
     """Rows whose value or gradient is not finite get no ascent direction."""
     bad = ~(np.isfinite(vals) & np.isfinite(G).all(axis=1))
-    if np.any(bad):
+    if bad.any():
         G[bad] = 0.0
     return vals, G
+
+
+def _slices(sizes) -> list:
+    """Consecutive slices of these lengths, from 0."""
+    cuts = np.cumsum([0, *sizes])
+    return [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
 def maximize_direction(objective, dim: int, opt: OptimizerSettings,
@@ -387,61 +400,97 @@ def maximize_direction(objective, dim: int, opt: OptimizerSettings,
     the ascent use value_and_grad, one call of n rows per iteration.
     Returns (best value, best direction).
     """
+    return _maximize_group([(objective, value_and_grad, extra_starts)], dim, opt)[0]
+
+
+def _maximize_group(problems, dim: int, opt: OptimizerSettings) -> list:
+    """maximize_direction for every (objective, value_and_grad, extra_starts)
+    of problems, in one search; returns their (best value, best direction).
+
+    The rows of all problems are stacked, so each step of the ascent and of
+    the polish is one pass over the arrays, but every objective call sees
+    the contiguous rows of one problem only. (One call on several problems'
+    rows would not be bit-identical: BLAS rounds a row differently at
+    another position in the call.) The stacked arithmetic is row by row, a
+    problem whose steps all fall below 1e-12 is frozen where a lone search
+    stops, and leaders and winners are taken per problem, so each result is
+    bit for bit what a maximize_direction call of its own returns.
+    """
     rng = np.random.default_rng(opt.seed)
+    starts = rng.standard_normal((opt.n_starts, dim))
+    axes = np.vstack([np.eye(dim), -np.eye(dim)])
 
-    blocks = [np.eye(dim), -np.eye(dim),
-              rng.standard_normal((opt.n_starts, dim))]
-    if extra_starts is not None and len(extra_starts):
-        blocks.append(np.atleast_2d(np.asarray(extra_starts, dtype=np.float64)))
-    axes = np.vstack(blocks[:2])
-    axis_vals = objective(axes)
+    axis_vals, blocks = [], []
+    for objective, _, extra in problems:
+        axis_vals.append(objective(axes))
+        block = [starts]
+        if extra is not None and len(extra):
+            block.append(np.atleast_2d(np.asarray(extra, dtype=np.float64)))
+        # seed the ascent with the best axis as well (_unit_rows keeps it exactly)
+        block.append(axes[int(np.argmax(axis_vals[-1]))][None, :])
+        blocks.append(np.vstack(block))
+    rows = _slices([len(b) for b in blocks])
+    firsts = [s.start for s in rows]
+    live = np.ones(len(problems), dtype=bool)
 
-    # seed the ascent with the best axis as well
-    k = int(np.argmax(axis_vals))
-    V = np.vstack([_unit_rows(np.vstack(blocks[2:])), axes[k][None, :]])
-    vals, G = _usable(*value_and_grad(V))
+    def evaluate(W, vals, G):  # every live problem's value_and_grad on its own rows
+        for (_, value_and_grad, _), s, on in zip(problems, rows, live):
+            if on:
+                vals[s], G[s] = value_and_grad(W[s])
+        return _usable(vals, G)
 
+    V = _unit_rows(np.vstack(blocks))
     n = V.shape[0]
+    vals, G = evaluate(V, np.empty(n), np.empty_like(V))
+    fw, GW = np.empty(n), np.empty_like(V)
     steps = np.full(n, STEP_INIT)
 
     for _ in range(opt.iterations):
         # rows scaled to unit max-entry first, so squaring cannot overflow
         D = G / np.maximum(np.abs(G).max(axis=1), 1e-300)[:, None]
         dn = np.sqrt((D * D).sum(axis=1))
-        dn = np.where(dn > 0.0, dn, 1.0)
-        W = _unit_rows(V + steps[:, None] * D / dn[:, None])
-        fw, GW = _usable(*value_and_grad(W))
+        D *= steps[:, None]
+        D /= np.where(dn > 0.0, dn, 1.0)[:, None]
+        D += V
+        W = _unit_rows(D)
+        # a frozen problem's rows keep the fw of its last step, which no
+        # longer exceeds vals, so they never move again
+        evaluate(W, fw, GW)
         better = fw > vals
-        V[better] = W[better]
-        vals[better] = fw[better]
-        G[better] = GW[better]
-        steps[better] *= 1.25
-        steps[~better] *= 0.5
-        if np.all(steps < 1e-12):
+        np.copyto(V, W, where=better[:, None])
+        np.copyto(vals, fw, where=better)
+        np.copyto(G, GW, where=better[:, None])
+        steps *= np.where(better, 1.25, 0.5)
+        live &= ~np.logical_and.reduceat(steps < 1e-12, firsts)
+        if not live.any():
             break
 
-    # pattern-search polish around the current leaders
-    order = np.argsort(vals)[::-1][: min(4, n)]
-    leaders = V[order].copy()
-    lead_vals = vals[order].copy()
+    # pattern-search polish around each problem's current leaders
+    order = [s.start + np.argsort(vals[s])[::-1][:4] for s in rows]
+    lead_rows = _slices([len(o) for o in order])
+    order = np.concatenate(order)
+    leaders, lead_vals = V[order], vals[order]
+    m, at = len(leaders), np.arange(len(leaders))
     radius = 0.1
     for _ in range(opt.polish_rounds):
-        cands = leaders[:, None, :] + radius * axes[None, :, :]
-        cands = cands.reshape(-1, dim)
-        cv = objective(_unit_rows(cands)).reshape(len(leaders), 2 * dim)
+        cands = _unit_rows((leaders[:, None, :] + radius * axes[None, :, :]).reshape(-1, dim))
+        cv = np.concatenate([objective(cands[2 * dim * s.start: 2 * dim * s.stop])
+                             for (objective, _, _), s in zip(problems, lead_rows)])
+        cv = cv.reshape(m, 2 * dim)
         best_j = cv.argmax(axis=1)
-        best_v = cv[np.arange(len(leaders)), best_j]
+        best_v = cv[at, best_j]
         improved = best_v > lead_vals
-        moved = _unit_rows(cands.reshape(len(leaders), 2 * dim, dim)[
-            np.arange(len(leaders)), best_j])
-        leaders[improved] = moved[improved]
-        lead_vals[improved] = best_v[improved]
+        np.copyto(leaders, cands.reshape(m, 2 * dim, dim)[at, best_j], where=improved[:, None])
+        np.copyto(lead_vals, best_v, where=improved)
         radius *= 0.7
 
-    pool_vals = np.concatenate([axis_vals, vals, lead_vals])
-    pool = np.vstack([axes, V, leaders])
-    j = int(np.argmax(pool_vals))
-    return float(pool_vals[j]), pool[j].copy()
+    out = []
+    for a_vals, s, ls in zip(axis_vals, rows, lead_rows):
+        pool_vals = np.concatenate([a_vals, vals[s], lead_vals[ls]])
+        pool = np.vstack([axes, V[s], leaders[ls]])
+        j = int(np.argmax(pool_vals))
+        out.append((float(pool_vals[j]), pool[j].copy()))
+    return out
 
 
 def _quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -490,10 +539,10 @@ def ratio_objective(num, den):
 # modulus search
 # ---------------------------------------------------------------------------
 
-def _restricted_sup(hy: NormHandle, norm1: NormHandle, norm2: NormHandle,
-                    delta: float, dim: int, opt: OptimizerSettings, warm=None,
-                    side: str = "lo"):
-    """sup hy(u) over {norm1(u) <= 1, norm2(u) <= delta} by direction search.
+def _restricted_problem(hy: NormHandle, norm1: NormHandle, norm2: NormHandle,
+                        delta: float, warm=None, side: str = "lo"):
+    """The search problem (objective, value_and_grad, warm) of sup hy(u) over
+    {norm1(u) <= 1, norm2(u) <= delta}.
 
     The objective rescales each direction v onto the boundary of the feasible
     region: c = min(1/norm1(v), delta/norm2(v)); its value is c * hy(v).
@@ -518,13 +567,34 @@ def _restricted_sup(hy: NormHandle, norm1: NormHandle, norm2: NormHandle,
     def fg(V):
         (n1, g1), (n2, g2), (y, gy) = norm1.hi_grad(V), n2_grad(V), hy.hi_grad(V)
         c1, c2, c = scale(n1, n2)
-        # the binding branch of the min: d(1/n1) = -g1/n1^2, d(delta/n2) = -delta g2/n2^2
+        first = c1 <= c2
+        # the binding branch of the min: d(1/n1) = -g1/n1^2, d(delta/n2) = -delta g2/n2^2;
+        # every handle returns a fresh gradient array, so gy is summed into in place
         with np.errstate(invalid="ignore", over="ignore"):
-            dc = np.where((c1 <= c2)[:, None], -g1 * (c1 * c1)[:, None],
-                          -g2 * (c2 * c2 / delta)[:, None])
-            return y * c, gy * c[:, None] + y[:, None] * dc
+            dc = np.where(first[:, None], g1, g2)
+            dc *= np.where(first, -(c1 * c1), -(c2 * c2 / delta))[:, None]
+            dc *= y[:, None]
+            gy *= c[:, None]
+            gy += dc
+            return y * c, gy
 
+    return f, fg, warm
+
+
+def _restricted_sup(hy: NormHandle, norm1: NormHandle, norm2: NormHandle,
+                    delta: float, dim: int, opt: OptimizerSettings, warm=None,
+                    side: str = "lo"):
+    """sup hy(u) over {norm1(u) <= 1, norm2(u) <= delta} by direction search
+    (see _restricted_problem), warm started from the rows of warm."""
+    f, fg, _ = _restricted_problem(hy, norm1, norm2, delta, side=side)
     return maximize_direction(f, dim, opt, extra_starts=warm, value_and_grad=fg)
+
+
+def _restricted_sups(hy: NormHandle, norm1: NormHandle, norm2: NormHandle,
+                     trials, dim: int, opt: OptimizerSettings) -> list:
+    """_restricted_sup at every (delta, warm) of trials, in one grouped search."""
+    return _maximize_group([_restricted_problem(hy, norm1, norm2, delta, warm)
+                            for delta, warm in trials], dim, opt)
 
 
 def _log_ratio(sup: float, eps: float):
@@ -551,6 +621,42 @@ def _itp_point(a: float, b: float, fa, fb, k1: float, r: float) -> float:
     return xt if abs(xt - half) <= r else half - sigma * r
 
 
+def _itp_row(bound: float, eps: float, lo, hi, row: list):
+    """One row's ITP refinement of its bracket, as a coroutine.
+
+    lo and hi are the (delta, sup, maximizer) links where the predicate
+    held and failed. Each step yields a trial's (delta, warm start) and is
+    sent back its (sup, maximizer); the maximizer joins row[1], and row[0]
+    keeps the last delta whose predicate held.
+    """
+    (lo_d, val, w), (hi_d, hi_val, _) = lo, hi
+    a, b = math.log(lo_d / bound), math.log(hi_d / bound)
+    fa, fb = _log_ratio(val, eps), _log_ratio(hi_val, eps)
+    k1 = ITP_K1 / (b - a)
+    n_max = max(math.ceil(math.log2((b - a) / _ITP_WIDTH)), 0) + ITP_N0
+    j = 0
+    while hi_d / lo_d > 1.0 + BISECT_REL_WIDTH:
+        r = max(0.5 * _ITP_WIDTH * 2.0 ** (n_max - j) - 0.5 * (b - a), 0.0)
+        x = _itp_point(a, b, fa, fb, k1, r)
+        trial = bound * math.exp(x)
+        val, w = yield trial, w[None, :]
+        row[1].append(w)
+        if val <= eps:
+            a, lo_d, fa = x, trial, _log_ratio(val, eps)
+            row[0] = lo_d
+        else:
+            b, hi_d, fb = x, trial, _log_ratio(val, eps)
+        j += 1
+
+
+def _resume(search, sent):
+    """What the coroutine search yields next when sent sent; None once it ends."""
+    try:
+        return search.send(sent)
+    except StopIteration:
+        return None
+
+
 def bisect_modulus(hy: NormHandle, norm1: NormHandle, norm2: NormHandle, eps_grid,
                    dim: int, opt: OptimizerSettings):
     """Largest delta (to relative width BISECT_REL_WIDTH) with sup hy <= eps,
@@ -565,17 +671,21 @@ def bisect_modulus(hy: NormHandle, norm1: NormHandle, norm2: NormHandle, eps_gri
 
     Nothing before the refinement depends on eps: the upper search bound
     and the geometric descent bound, bound/16, ... (each search warm-started
-    from the one before) run once per call, and every row walks the same
-    chain, so a grid call returns exactly what one-eps calls return.
+    from the one before, down to where the smallest eps holds) run once per
+    call, and every row takes its bracket from that one chain.
 
     A row's bracket [lo, hi] (predicate held at lo, failed at hi) is then
     narrowed by ITP in x = ln(delta / bound) on f = ln(sup / eps). Scaling
     a feasible point by delta/delta' keeps it feasible, so sup is
     nondecreasing and sup/delta nonincreasing: f has slope in [0, 1] in x,
     where interpolation beats halving. Each trial is bound * exp(x), warm
-    started from the previous search; the result is the last lo, a delta
-    whose predicate held, and no row takes more than ITP_N0 steps beyond
-    the bisection count of its first bracket.
+    started from the row's previous search; the result is the last lo, a
+    delta whose predicate held, and no row takes more than ITP_N0 steps
+    beyond the bisection count of its first bracket. The rows refine in
+    rounds: every row still open proposes its next trial, and one grouped
+    search (_maximize_group) evaluates them all. Each row's trials depend on
+    its own results alone, so a grid call returns exactly what one-eps
+    calls return.
     """
     eps_grid = [float(e) for e in eps_grid]
     for eps in eps_grid:
@@ -587,60 +697,34 @@ def bisect_modulus(hy: NormHandle, norm1: NormHandle, norm2: NormHandle, eps_gri
     bound, _ = maximize_direction(f, dim, opt, value_and_grad=fg)
     bound = max(bound, opt.delta_floor)
 
-    def predicate(delta, warm):
-        return _restricted_sup(hy, norm1, norm2, delta, dim, opt, warm)
+    # the chain (delta, sup, maximizer) at bound, bound/16, ... down to the
+    # first link where the smallest eps holds, or to the floor
+    least = min(eps_grid, default=math.inf)  # an empty grid returns no rows
+    chain = [(bound, *_restricted_sup(hy, norm1, norm2, bound, dim, opt))]
+    while not (chain[-1][1] <= least or chain[-1][0] <= opt.delta_floor):
+        prev, _, w = chain[-1]
+        delta = max(prev / 16.0, opt.delta_floor)
+        chain.append((delta, *_restricted_sup(hy, norm1, norm2, delta, dim, opt,
+                                              w[None, :])))
 
-    chain = []  # (delta, sup, maximizer) at bound, bound/16, ... down to the floor
-
-    def link(k):  # rows walk k = 0, 1, ..., so k <= len(chain)
-        if k == len(chain):
-            if chain:
-                prev, _, w = chain[-1]
-                delta, warm = max(prev / 16.0, opt.delta_floor), w[None, :]
-            else:
-                delta, warm = bound, None
-            chain.append((delta, *predicate(delta, warm)))
-        return chain[k]
-
-    out = []
+    out, searches = [], []
     for eps in eps_grid:
-        # descend the shared chain to the first delta whose predicate holds
-        k = 0
-        while True:
-            delta, val, w = link(k)
-            if val <= eps:
-                break
-            if delta <= opt.delta_floor:
-                # proved only if it still fails with norm2's upper bound
-                # deciding feasibility
-                sup, _ = _restricted_sup(hy, norm1, norm2, delta, dim, opt,
-                                         w[None, :], side="hi")
-                raise NoModulusError(eps, opt.delta_floor, sup)
-            k += 1
-        witnesses = [c[2] for c in chain[:k + 1]]
-        if k == 0:
-            out.append((bound, witnesses))
-            continue
+        # the first link whose predicate holds, or else the floor
+        k = next(k for k, (delta, val, _) in enumerate(chain)
+                 if val <= eps or delta <= opt.delta_floor)
+        delta, val, w = chain[k]
+        if not val <= eps:
+            # proved only if it still fails with norm2's upper bound
+            # deciding feasibility
+            sup, _ = _restricted_sup(hy, norm1, norm2, delta, dim, opt,
+                                     w[None, :], side="hi")
+            raise NoModulusError(eps, opt.delta_floor, sup)
+        out.append([delta, [c[2] for c in chain[:k + 1]]])
+        if k:
+            searches.append(_itp_row(bound, eps, chain[k], chain[k - 1], out[-1]))
 
-        # ITP refinement of [chain k, chain k-1] in x = ln(delta / bound)
-        lo_d, hi_d = delta, chain[k - 1][0]
-        a, b = math.log(lo_d / bound), math.log(hi_d / bound)
-        fa, fb = _log_ratio(val, eps), _log_ratio(chain[k - 1][1], eps)
-        k1 = ITP_K1 / (b - a)
-        n_max = max(math.ceil(math.log2((b - a) / _ITP_WIDTH)), 0) + ITP_N0
-        warm = w[None, :]
-        j = 0
-        while hi_d / lo_d > 1.0 + BISECT_REL_WIDTH:
-            r = max(0.5 * _ITP_WIDTH * 2.0 ** (n_max - j) - 0.5 * (b - a), 0.0)
-            x = _itp_point(a, b, fa, fb, k1, r)
-            trial = bound * math.exp(x)
-            val, w = predicate(trial, warm)
-            witnesses.append(w)
-            warm = w[None, :]
-            if val <= eps:
-                a, lo_d, fa = x, trial, _log_ratio(val, eps)
-            else:
-                b, hi_d, fb = x, trial, _log_ratio(val, eps)
-            j += 1
-        out.append((lo_d, witnesses))
-    return out
+    pending = [(s, _resume(s, None)) for s in searches]
+    while pending := [(s, t) for s, t in pending if t is not None]:
+        found = _restricted_sups(hy, norm1, norm2, [t for _, t in pending], dim, opt)
+        pending = [(s, _resume(s, res)) for (s, _), res in zip(pending, found)]
+    return [tuple(row) for row in out]

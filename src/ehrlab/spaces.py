@@ -181,13 +181,13 @@ def _conjugate(p: float) -> float:
 
 
 def _lq_batch(U: np.ndarray, q: float) -> np.ndarray:
+    if q == 2.0:  # U * U is |U| * |U|, bit for bit
+        return np.sqrt((U * U).sum(axis=1))
     A = np.abs(U)
     if math.isinf(q):
         return A.max(axis=1)
     if q == 1.0:
         return A.sum(axis=1)
-    if q == 2.0:
-        return np.sqrt((A * A).sum(axis=1))
     return (A ** q).sum(axis=1) ** (1.0 / q)
 
 

@@ -197,14 +197,20 @@ class TestModulusSearch:
         never binds); and the refinement took at most ITP's worst case, one
         step more than bisecting the first bracket [bound/16, bound]."""
         evaluated = []
-        real = optimize._restricted_sup
+        real, real_group = optimize._restricted_sup, optimize._restricted_sups
 
         def spy(*args, **kwargs):
             val, w = real(*args, **kwargs)
             evaluated.append((args[3], val))
             return val, w
 
+        def group_spy(hy, norm1, norm2, trials, dim, opt):
+            found = real_group(hy, norm1, norm2, trials, dim, opt)
+            evaluated.extend((delta, val) for (delta, _), (val, _) in zip(trials, found))
+            return found
+
         monkeypatch.setattr(optimize, "_restricted_sup", spy)
+        monkeypatch.setattr(optimize, "_restricted_sups", group_spy)
         handles = gallery_handles(gallery()[kind])
         width = optimize.BISECT_REL_WIDTH
         worst = math.ceil(math.log2(math.log(16.0) / math.log1p(width))) + 1
@@ -231,6 +237,10 @@ class TestModulusSearch:
             return (low if delta <= 0.3 else high), np.eye(dim)[0]
 
         monkeypatch.setattr(optimize, "_restricted_sup", stub)
+        monkeypatch.setattr(optimize, "_restricted_sups",
+                            lambda hy, norm1, norm2, trials, dim, opt:
+                            [stub(hy, norm1, norm2, delta, dim, opt, warm)
+                             for delta, warm in trials])
         h = norm_handle(L2)  # bound = sup ||u|| / ||u|| = 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -254,17 +264,104 @@ class TestModulusSearch:
         assert len(calls) == 1
 
     def test_golden_certify_search_count(self, monkeypatch, tmp_path):
-        calls = []
-        real = optimize.maximize_direction
+        # every search, lone or grouped, runs through _maximize_group: the
+        # bound, 3 chain links, 4 ITP rounds of the 4 binding rows and one
+        # hardening round of all 5 rows
+        groups = []
+        real = optimize._maximize_group
 
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def spy(problems, dim, opt):
+            groups.append(len(problems))
+            return real(problems, dim, opt)
 
-        monkeypatch.setattr(optimize, "maximize_direction", spy)
-        monkeypatch.setattr(ehrling, "maximize_direction", spy)
+        monkeypatch.setattr(optimize, "_maximize_group", spy)
+        monkeypatch.setattr(ehrling, "_maximize_group", spy)
         run(load_scenario(SCENARIOS / "certify_diag16.json"), output_dir=tmp_path)
-        assert len(calls) == 25
+        assert sum(groups) == 25
+        assert len(groups) == 9
+
+
+class TestGroupedSearch:
+    """One grouped search of k problems returns, bit for bit, what k lone
+    maximize_direction calls return, and certify hardens its rows in groups
+    exactly as each row would harden alone."""
+
+    @staticmethod
+    def problems(kind, d, calls):
+        """Two restricted sups, a constant objective and a residual attack,
+        with 0, 1, 0 and 3 extra starts; calls counts each value_and_grad."""
+        hy, h1, h2 = gallery_handles(gallery(d)[kind])
+        rng = np.random.default_rng(11)
+        found = [
+            optimize._restricted_problem(hy, h1, h2, 0.05),
+            optimize._restricted_problem(hy, h1, h2, 0.01, rng.standard_normal((1, d))),
+            (lambda V: np.zeros(len(V)), lambda V: (np.zeros(len(V)), np.zeros_like(V)), None),
+            ehrling._attack(hy, h1, h2, 0.25, 3.0, rng.standard_normal((3, d))),
+        ]
+
+        def counted(i, fg):
+            def value_and_grad(V):
+                calls[i] += 1
+                return fg(V)
+            return value_and_grad
+
+        return [(f, counted(i, fg), extra) for i, (f, fg, extra) in enumerate(found)]
+
+    @staticmethod
+    def assert_same(got, want):
+        assert len(got) == len(want)
+        for (val, u), (val1, u1) in zip(got, want):
+            assert np.array_equal(val, val1)
+            assert np.array_equal(u, u1) and u.tobytes() == u1.tobytes()
+
+    @pytest.mark.parametrize("d", [8, 32])
+    @pytest.mark.parametrize("kind", ["diagonal", "dense", "kernel"])
+    def test_group_equals_lone_searches(self, kind, d):
+        calls = Counter()
+        problems = self.problems(kind, d, calls)
+        grouped = optimize._maximize_group(problems, d, FAST)
+        grouped_calls = dict(calls)
+        calls.clear()
+        lone = [optimize.maximize_direction(f, d, FAST, extra, value_and_grad=fg)
+                for f, fg, extra in problems]
+        self.assert_same(grouped, lone)
+        # each problem ran as many ascent steps as alone: the constant one
+        # froze once 0.25 / 2^38 < 1e-12, next to one that ran every step
+        assert grouped_calls == dict(calls)
+        assert grouped_calls[2] == 1 + 38 < 1 + FAST.iterations
+        assert max(grouped_calls[i] for i in (0, 1, 3)) == 1 + FAST.iterations
+        # and no result depends on the problem's position in the group
+        self.assert_same(optimize._maximize_group(problems[::-1], d, FAST), lone[::-1])
+
+    def test_grouped_hardening_equals_one_row_certificates(self, monkeypatch):
+        # moduli inflated by a factor per eps make the rows harden over
+        # different numbers of rounds, so the groups shrink round by round
+        inflate = dict(zip(ehrling.DEFAULT_EPS_GRID, (1.0, 3.0, 2.0, 6.0, 1.5)))
+        real, real_group = ehrling.bisect_modulus, ehrling._maximize_group
+        groups = []
+
+        def inflated(hy, h1, h2, grid, dim, opt):
+            return [(delta * inflate[eps], pool)
+                    for eps, (delta, pool) in zip(grid, real(hy, h1, h2, grid, dim, opt))]
+
+        def spy(problems, dim, opt):
+            groups.append(len(problems))
+            return real_group(problems, dim, opt)
+
+        monkeypatch.setattr(ehrling, "bisect_modulus", inflated)
+        monkeypatch.setattr(ehrling, "_maximize_group", spy)
+        # a grid row either keeps its one-eps (delta, C) or inherits the C of
+        # a smaller-eps row: the envelope over the one-eps certificates
+        T, fam = gallery()["dense"], DualFamily(mode="coordinate", space=L2)
+        grid = ehrling.DEFAULT_EPS_GRID
+        rows = certify(T, L2, fam, grid, opt=FAST).rows
+        assert groups[0] == len(grid) and len(set(groups)) >= 3  # rows left in 3+ rounds
+        alone = [certify(T, L2, fam, (eps,), opt=FAST).rows[0] for eps in grid]
+        C = math.inf
+        for row, one in zip(rows[::-1], alone[::-1]):
+            C = min(C, one.C)
+            assert row.C == C
+            assert row.delta == (one.delta if C == one.C else row.eps / C)
 
 
 # ---------------------------------------------------------------------------
@@ -766,23 +863,16 @@ class TestSharedQuotients:
 
     @pytest.mark.parametrize("mode", ["coordinate", "dense-rational"])
     @pytest.mark.parametrize("kind", ["diagonal", "dense", "kernel"])
-    def test_attack_value_is_the_sphere_residual(self, kind, mode, monkeypatch):
+    def test_attack_value_is_the_sphere_residual(self, kind, mode):
         # (hy - eps h1 - C h2.lo) / h1 at v is hy(W) - eps - C h2.lo(W) at
         # W = v / h1(v), the PASS residual on the h1 unit sphere
         h1, h2, hy = ehrling._handles(gallery()[kind], L2, DualFamily(mode=mode, space=L2))
-        objectives = []
-
-        def capture(objective, dim, opt, extra_starts=None, *, value_and_grad):
-            objectives.append(objective)
-            return 0.0, np.eye(dim)[0]
-
-        monkeypatch.setattr(ehrling, "maximize_direction", capture)
         eps, C = 0.25, 3.0
-        ehrling._attack_residual(hy, h1, h2, eps, C, 8, FAST)
+        objective, _, _ = ehrling._attack(hy, h1, h2, eps, C, None)
         rng = np.random.default_rng(7)
         V = rng.standard_normal((40, 8)) * 10.0 ** rng.uniform(-3.0, 3.0, (40, 1))
         W = V / h1.hi(V)[:, None]
-        np.testing.assert_allclose(objectives[0](V), hy.hi(W) - eps - C * h2.lo(W),
+        np.testing.assert_allclose(objective(V), hy.hi(W) - eps - C * h2.lo(W),
                                    rtol=1e-12)
 
     def test_witness_sharp_and_certified_constants_are_ordered(self):

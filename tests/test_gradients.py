@@ -3,7 +3,8 @@ differences (the only place finite differences appear).
 
 Handles are checked piece by piece: every strong norm kind, both family
 modes (lo and hi), every operator repr. The search objectives are captured
-from the real callers by a spy on maximize_direction, so each one is checked
+from the real callers by a spy on the search (optimize._maximize_group,
+which maximize_direction and every grouped search run through), so each one is checked
 exactly as certify, optimal_constant, falsify, reverse_certificate and
 three_space_certificate build it. Points are seeded Gaussian directions,
 which lie away from the kinks (sign changes, argmax ties, the min in the
@@ -136,6 +137,16 @@ def test_kinks_take_the_one_sided_derivative_along_plus_e_j(obj, monkeypatch):
     np.testing.assert_allclose(G, Gfd, rtol=RTOL, atol=RTOL * np.abs(Gfd).max())
 
 
+def test_coordinate_gradient_takes_plus_w_at_minus_zero_and_nan():
+    """The coordinate-mode gradient is -w_j only where u_j < 0: a -0.0 entry
+    is a kink and takes +w_j, and so does a NaN entry."""
+    fam = FAMILIES["coordinate-lp2"]
+    U = np.array([[-0.0, np.nan, -1.0, 2.0, 0.0, -np.inf]])
+    w = fam.coordinate_weights(6)
+    G = norm_handle(fam)._lo_gradient(U)
+    assert G.tobytes() == (w * [1.0, 1.0, -1.0, 1.0, 1.0, -1.0]).reshape(1, 6).tobytes()
+
+
 def _operators(d: int):
     rng = np.random.default_rng(3)
     K = np.exp(-np.abs(np.subtract.outer(np.arange(d), np.arange(d))) / 3.0)
@@ -171,17 +182,20 @@ def test_composed_three_space_norm_gradient():
 @pytest.fixture
 def searches(monkeypatch):
     """Every (caller, objective, value_and_grad, dim, extra_starts) handed to
-    the search."""
+    the search, one per problem of a grouped search; a lone search is
+    credited to the caller of maximize_direction."""
     seen = []
-    real = optimize.maximize_direction
+    real = optimize._maximize_group
 
-    def spy(objective, dim, opt, extra_starts=None, *, value_and_grad):
-        seen.append((sys._getframe(1).f_code.co_name, objective, value_and_grad, dim,
-                     extra_starts))
-        return real(objective, dim, opt, extra_starts, value_and_grad=value_and_grad)
+    def spy(problems, dim, opt):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "maximize_direction":
+            frame = frame.f_back
+        seen.extend((frame.f_code.co_name, f, fg, dim, extra) for f, fg, extra in problems)
+        return real(problems, dim, opt)
 
-    monkeypatch.setattr(optimize, "maximize_direction", spy)
-    monkeypatch.setattr(ehrling, "maximize_direction", spy)
+    monkeypatch.setattr(optimize, "_maximize_group", spy)
+    monkeypatch.setattr(ehrling, "_maximize_group", spy)
     return seen
 
 
@@ -207,7 +221,8 @@ def test_certify_objectives(searches):
             DualFamily(mode="dense-rational", space=L2), eps_grid=(0.5,), opt=TINY)
     certify(ops["kernel"], NormSpec.weighted_lp(2, np.linspace(1.0, 2.0, d)),
             DualFamily(mode="coordinate", space=NormSpec.lp(1.5)), eps_grid=(0.5,), opt=TINY)
-    check_searches(searches, ["bisect_modulus", "_restricted_sup", "_attack_residual"])
+    check_searches(searches, ["bisect_modulus", "_restricted_sup", "_restricted_sups",
+                              "_certify_rows"])
 
 
 def test_sharp_constant_and_falsify_objectives(searches):
@@ -231,11 +246,12 @@ def test_reverse_and_three_space_objectives(searches):
     # reverse hardens through the shared pipeline: its residual attacks start
     # from the witness pool the bisection collected
     assert any(extra is not None and len(extra)
-               for caller, *_, extra in searches if caller == "_attack_residual")
+               for caller, *_, extra in searches if caller == "_certify_rows")
     theta = make_sobolev_embedding(6, 0.25)
     tau_op = make_diagonal([1.0] * 6, L2, NormSpec.weighted_lp(2, 2.0 ** -np.arange(1, 7)))
     three_space_certificate(theta, tau_op, (0.5,), opt=TINY)
-    check_searches(searches, ["bisect_modulus", "_restricted_sup", "_attack_residual"])
+    check_searches(searches, ["bisect_modulus", "_restricted_sup", "_restricted_sups",
+                              "_certify_rows"])
 
 
 # ---------------------------------------------------------------------------
@@ -243,20 +259,22 @@ def test_reverse_and_three_space_objectives(searches):
 # ---------------------------------------------------------------------------
 
 def test_no_search_evaluates_finite_difference_rows(monkeypatch, tmp_path):
-    """Wrap each search's objective the way the benchmark tracer does and
-    count rows: no call may carry the n_starts * dim rows of a
-    finite-difference gradient."""
+    """Wrap each search problem's objective the way the benchmark tracer
+    wraps maximize_direction's and count rows: no call may carry the
+    n_starts * dim rows of a finite-difference gradient."""
     calls = []
-    real = optimize.maximize_direction
+    real = optimize._maximize_group
 
-    def traced(objective, dim, *args, **kwargs):
-        def counted(V):
-            calls.append((V.shape[0], dim))
-            return objective(V)
-        return real(counted, dim, *args, **kwargs)
+    def traced(problems, dim, opt):
+        def counted(objective):
+            def f(V):
+                calls.append((V.shape[0], dim))
+                return objective(V)
+            return f
+        return real([(counted(f), fg, extra) for f, fg, extra in problems], dim, opt)
 
-    monkeypatch.setattr(optimize, "maximize_direction", traced)
-    monkeypatch.setattr(ehrling, "maximize_direction", traced)
+    monkeypatch.setattr(optimize, "_maximize_group", traced)
+    monkeypatch.setattr(ehrling, "_maximize_group", traced)
     run(load_scenario(SCENARIOS / "certify_diag16.json"), output_dir=tmp_path)
     n_starts = OptimizerSettings().n_starts
     assert calls

@@ -24,6 +24,7 @@ from ehrlab import (
     very_weak_norm,
 )
 from ehrlab.errors import DimensionMismatchError, InvalidElementError, UnsupportedNormError
+from ehrlab.operators import _adjoint_batch
 
 L2 = NormSpec.lp(2)
 
@@ -46,6 +47,23 @@ class TestApply:
     def test_diagonal_shorter_input_zero_extends(self):
         T = make_diagonal([1.0, 0.5, 0.25], L2, L2)
         assert np.array_equal(apply_batch(T, [4.0])[0], [4.0])
+
+    @pytest.mark.parametrize("size", [6, 9, 4], ids=["covers-d", "beyond-d", "short"])
+    def test_diagonal_and_adjoint_equal_the_zero_extended_product(self, size):
+        # lam covering d takes the one-multiply path; a shorter lam still
+        # zero-extends. Either way every bit, and C order, is kept
+        rng = np.random.default_rng(1)
+        lam = rng.standard_normal(size)
+        T = make_diagonal(lam, L2, L2)
+        d, m = 6, min(6, size)
+        U = rng.standard_normal((5, d))
+        U[0, :3] = [-0.0, np.inf, np.nan]
+        want = np.zeros((5, d))
+        want[:, :m] = U[:, :m] * lam[:m]
+        for X in (U, np.asfortranarray(U), np.hstack([U, U])[:, :d]):
+            for got in (apply_batch(T, X), _adjoint_batch(T, X, d)):
+                assert got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes()
 
     def test_dense_swap(self):
         T = make_dense([[0.0, 1.0], [1.0, 0.0]], L2, L2)

@@ -157,6 +157,25 @@ class TestNormValues:
                 assert vals[i] == pytest.approx(norm(ns, Element(U[i])), rel=1e-14)
 
 
+def test_l2_squares_the_rows_without_abs_bit_for_bit():
+    """|x| * |x| and x * x are the same double, so the q = 2 norm skips abs:
+    at +-0.0, +-inf and finite entries every bit agrees, and a NaN entry
+    still gives NaN (the sign of a NaN is not compared)."""
+    rng = np.random.default_rng(0)
+    U = rng.standard_normal((6, 9)) * 10.0 ** rng.uniform(-150, 150, (6, 1))
+    U[0, :4] = [0.0, -0.0, np.inf, -np.inf]
+    U[1] = -0.0
+    U[2, 3] = np.nan
+    U[3, 0] = -np.nan
+    U[4, 1] = -np.inf
+    A = np.abs(U)
+    want = np.sqrt((A * A).sum(axis=1))
+    got = norm_batch(NormSpec.lp(2), U)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan) and nan.any()
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # norm axioms (property-based)
 # ---------------------------------------------------------------------------
