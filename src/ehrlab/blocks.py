@@ -1,0 +1,122 @@
+"""Row blocks of large batches, shared between the caller and one worker thread.
+
+Large batches are cut into row blocks: ehrling._sample and
+veryweak.very_weak_norm_batch (through _blockwise) evaluate theirs in blocks
+of about _BLOCK_BYTES, so each block's chain of kernels stays in cache, and
+optimize.ball_points draws its sample in fixed chunks. _each_block shares a
+batch of more than _SERIAL_BLOCKS blocks with one worker thread, started on
+first use. Each block writes only its own rows, so no value depends on which
+thread computed it. The worker runs block work it calls itself inline, and
+a forked child starts a worker of its own.
+"""
+
+from __future__ import annotations
+
+import os
+import threading
+from contextlib import contextmanager
+
+import numpy as np
+
+# rows are evaluated in blocks of about this many bytes, so each block's
+# chain of apply, norm and enclosure stays in cache
+_BLOCK_BYTES = 1 << 20
+# blocks start at multiples of this many rows, and none is shorter than a full
+# block: each row then takes the BLAS kernel path it takes in a whole-array
+# call (OpenBLAS 0.3.31 gives other last bits to a block of a few rows, and
+# at d >= 32 to one of under 64 rows)
+_BLOCK_ROWS = 64
+# a batch of more blocks than this shares them with one worker thread; the
+# certify and CLI samples (at most 4 blocks at d <= 64) stay on the caller
+_SERIAL_BLOCKS = 8
+
+
+def _row_blocks(n: int, dim: int):
+    """Slices cutting n rows of width dim into blocks of about _BLOCK_BYTES;
+    the last block takes the remainder. Rows of width 0 count as width 1."""
+    step = max(1, _BLOCK_BYTES // (8 * max(dim, 1) * _BLOCK_ROWS)) * _BLOCK_ROWS
+    if n < 2 * step:  # one block, the common case of a search batch
+        return [slice(0, n)]
+    starts = range(0, n - step + 1, step)
+    return [slice(a, b) for a, b in zip(starts, [*starts[1:], n])]
+
+
+_WORKER = "ehrlab-blocks"  # the name of the block worker's thread
+_pool = None  # the executor of that one thread, started on first use
+
+
+def _drop_worker():  # a forked child inherits the executor but not its thread
+    global _pool
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_drop_worker)
+
+
+def _worker():
+    global _pool
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix=_WORKER)
+    return _pool
+
+
+def _threaded(blocks) -> bool:
+    """True if these blocks are shared with the worker: more than
+    _SERIAL_BLOCKS of them, and not called from the worker itself (which
+    runs its blocks inline, so nothing waits on the worker from it)."""
+    return (len(blocks) > _SERIAL_BLOCKS
+            and not threading.current_thread().name.startswith(_WORKER))
+
+
+@contextmanager
+def _joined(jobs):
+    """Wait for every worker job in jobs on leaving. If the body raises,
+    jobs not yet started are cancelled first; otherwise the first job's
+    error is raised, after all have ended."""
+    try:
+        yield
+    except BaseException:
+        for job in jobs:
+            job.cancel()
+        raise
+    finally:
+        for job in jobs:
+            if not job.cancelled():
+                job.exception()  # waits for it
+    for job in jobs:
+        job.result()
+
+
+def _each_block(fn, blocks) -> None:
+    """fn(s) for every slice s of blocks, each writing only its own rows.
+
+    The first block always runs on the calling thread, so lazy caches (a
+    family's prefix_matrix, coordinate_weights and functional members) are
+    built once, by one thread. Past _SERIAL_BLOCKS blocks, every other later
+    block goes to the worker; no value depends on which thread computed it.
+    """
+    if not _threaded(blocks):
+        for s in blocks:
+            fn(s)
+        return
+    fn(blocks[0])
+    jobs = [_worker().submit(fn, s) for s in blocks[1::2]]
+    with _joined(jobs):
+        for s in blocks[2::2]:
+            fn(s)
+
+
+def _blockwise(fn, U: np.ndarray) -> np.ndarray:
+    """fn(U) for a map fn from rows to one value each, evaluated by row
+    blocks through _each_block; a batch of one block is passed whole."""
+    blocks = _row_blocks(*U.shape)
+    if len(blocks) == 1:
+        return fn(U)
+    out = np.empty(U.shape[0])
+
+    def block(s):
+        out[s] = fn(U[s])
+
+    _each_block(block, blocks)
+    return out

@@ -42,15 +42,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .blocks import _each_block, _row_blocks
 from .errors import NonInjectiveError, ToleranceError, UnsupportedNormError
 from .operators import LinearOperator, as_matrix
 from .optimize import (
     NormHandle,
     OptimizerSettings,
     SamplerSettings,
-    _each_block,
     _maximize_group,
-    _row_blocks,
     _unit,
     ball_points,
     bisect_modulus,
@@ -190,7 +189,7 @@ def _sample(hy: NormHandle, h1: NormHandle, h2: NormHandle, pts: np.ndarray):
     None of them depends on (eps, C), so every verification of the same
     points reuses them (see _residuals) instead of re-evaluating them. They
     are evaluated one row block of about 1 MiB at a time
-    (optimize._row_blocks) through optimize._each_block, which shares the
+    (blocks._row_blocks) through blocks._each_block, which shares the
     blocks of a sample over 8 blocks with one worker thread. So memory is
     the points plus up to two blocks, and every value equals the
     whole-array evaluation byte for byte.

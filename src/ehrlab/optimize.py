@@ -28,25 +28,22 @@ A dual family contributes the certified enclosure of the very weak norm at
 the fixed term count ENCLOSURE_TERMS (fixed so both bounds stay exactly
 positively homogeneous).
 
-Verification samples (ball_points, and ehrling._sample) are drawn and
-evaluated in row blocks of about _BLOCK_BYTES. A sample of more than
-_SERIAL_BLOCKS blocks shares its blocks with one worker thread, started on
-first use. The random stream is drawn on the calling thread alone, and each
-block writes only its own rows, so every value is byte-identical to the
-serial run. The worker runs block work it calls itself inline, and a forked
-child starts a worker of its own.
+Verification samples are drawn by ball_points in chunks of _DRAW_ROWS rows,
+each chunk from its own seeded stream, and evaluated by ehrling._sample in
+row blocks of about 1 MiB. Both go through blocks._each_block, which shares
+the chunks or blocks of a large sample with one worker thread. Each chunk
+and block writes only its own rows, so every value is the same for any
+thread count and any block size.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import _each_block
 from .errors import NoModulusError, ToleranceError
 from .operators import _adjoint_batch, apply_batch
 from .spaces import DualFamily, NormSpec, _norm_grad, norm_batch
@@ -74,17 +71,10 @@ ITP_N0 = 1
 # bracket width in x that guarantees hi / lo <= 1 + BISECT_REL_WIDTH for the
 # rounded deltas bound * exp(x)
 _ITP_WIDTH = math.log1p(BISECT_REL_WIDTH) * (1.0 - 1e-9)
-# sample rows are scaled and evaluated in blocks of about this many bytes, so
-# each block's chain of apply, norm and enclosure stays in cache
-_BLOCK_BYTES = 1 << 20
-# blocks start at multiples of this many rows, and none is shorter than a full
-# block: each row then takes the BLAS kernel path it takes in a whole-array
-# call (OpenBLAS 0.3.31 gives other last bits to a block of a few rows, and
-# at d >= 32 to one of under 64 rows)
-_BLOCK_ROWS = 64
-# a sample of more blocks than this shares them with one worker thread; the
-# certify and CLI samples (at most 4 blocks at d <= 64) stay on the caller
-_SERIAL_BLOCKS = 8
+# a verification sample is drawn in chunks of this many rows, each from its
+# own seeded stream, so a chunk's points do not depend on the thread or the
+# block size that computes them
+_DRAW_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -246,116 +236,29 @@ def _unit(h1: NormHandle, V: np.ndarray) -> np.ndarray:
     return V / np.where(n1 > 0.0, n1, 1.0)[:, None]
 
 
-def _row_blocks(n: int, dim: int):
-    """Slices cutting n rows of width dim into blocks of about _BLOCK_BYTES;
-    the last block takes the remainder."""
-    step = max(1, _BLOCK_BYTES // (8 * dim * _BLOCK_ROWS)) * _BLOCK_ROWS
-    starts = range(0, n - step + 1, step) or [0]
-    return [slice(a, b) for a, b in zip(starts, [*starts[1:], n])]
-
-
-_WORKER = "ehrlab-blocks"  # the name of the block worker's thread
-_pool = None  # the executor of that one thread, started on first use
-
-
-def _drop_worker():  # a forked child inherits the executor but not its thread
-    global _pool
-    _pool = None
-
-
-os.register_at_fork(after_in_child=_drop_worker)
-
-
-def _worker():
-    global _pool
-    if _pool is None:
-        from concurrent.futures import ThreadPoolExecutor
-        _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix=_WORKER)
-    return _pool
-
-
-def _threaded(blocks) -> bool:
-    """True if these blocks are shared with the worker: more than
-    _SERIAL_BLOCKS of them, and not called from the worker itself (which
-    runs its blocks inline, so nothing waits on the worker from it)."""
-    return (len(blocks) > _SERIAL_BLOCKS
-            and not threading.current_thread().name.startswith(_WORKER))
-
-
-@contextmanager
-def _joined(jobs):
-    """Wait for every worker job in jobs (which the body may extend) on
-    leaving. If the body raises, jobs not yet started are cancelled first;
-    otherwise the first job's error is raised, after all have ended."""
-    try:
-        yield
-    except BaseException:
-        for job in jobs:
-            job.cancel()
-        raise
-    finally:
-        for job in jobs:
-            if not job.cancelled():
-                job.exception()  # waits for it
-    for job in jobs:
-        job.result()
-
-
-def _each_block(fn, blocks) -> None:
-    """fn(s) for every slice s of blocks, each writing only its own rows.
-
-    The first block always runs on the calling thread, so lazy caches (a
-    family's prefix_matrix, coordinate_weights and functional members) are
-    built once, by one thread. Past _SERIAL_BLOCKS blocks, every other later
-    block goes to the worker; no value depends on which thread computed it.
-    """
-    fn(blocks[0])
-    rest = blocks[1:]
-    if not _threaded(blocks):
-        for s in rest:
-            fn(s)
-        return
-    jobs = [_worker().submit(fn, s) for s in rest[::2]]
-    with _joined(jobs):
-        for s in rest[1::2]:
-            fn(s)
-
-
 def ball_points(sampler: SamplerSettings, dim: int, norm1: NormHandle) -> np.ndarray:
     """Deterministic sample of the norm1 unit ball, plus normalized basis rows.
 
-    The sample is held once: the normals are drawn into the one output
-    array block by block (the same stream as one whole draw), and each row
-    block of about _BLOCK_BYTES is scaled onto the ball in place. Past
-    _SERIAL_BLOCKS blocks, the worker scales each drawn block onto the
-    norm1 sphere while the next one is drawn, and the radii, drawn after
-    all normals, are multiplied in through _each_block. Either way each row
-    is rounded as (V / norm1(V)) * r, so the points equal the whole-array
-    formula byte for byte.
+    The sample is cut into chunks of _DRAW_ROWS rows. Chunk c draws its
+    normals V, then its radii r, from its own stream
+    default_rng(SeedSequence(seed, spawn_key=(c,))), and its rows are
+    (V / norm1(V)) * r. So no point depends on the thread that draws its
+    chunk, on the thread count or on the block size. The sample is held
+    once, and the chunks are drawn and scaled in place through one
+    _each_block pass, which shares them with the worker past _SERIAL_BLOCKS
+    chunks.
     """
     n = sampler.n_samples
-    rng = np.random.default_rng(sampler.seed)
     out = np.empty((n + dim, dim))
-    blocks = _row_blocks(n, dim)
-    threaded = _threaded(blocks)
 
-    def unit(s):
-        out[s] = _unit(norm1, out[s])
+    def draw(s):
+        rng = np.random.default_rng(np.random.SeedSequence(
+            sampler.seed, spawn_key=(s.start // _DRAW_ROWS,)))
+        rng.standard_normal(out=out[s])
+        radii = rng.random(s.stop - s.start) ** (1.0 / dim)
+        np.multiply(_unit(norm1, out[s]), radii[:, None], out=out[s])
 
-    jobs = []  # the worker's jobs run one at a time, so norm1 sees one thread
-    with _joined(jobs):
-        for s in blocks:
-            rng.standard_normal(out=out[s])
-            if threaded:
-                jobs.append(_worker().submit(unit, s))
-    radii = rng.random(n) ** (1.0 / dim)
-
-    def scale(s):
-        if not threaded:
-            unit(s)
-        out[s] *= radii[s, None]
-
-    _each_block(scale, blocks)
+    _each_block(draw, [slice(a, min(a + _DRAW_ROWS, n)) for a in range(0, n, _DRAW_ROWS)])
     out[n:] = _unit(norm1, np.eye(dim))
     return out
 

@@ -6,6 +6,10 @@ unit ball, so the tail beyond M terms is at most 2^-M times the strong norm
 of u. That single bound is what makes the value computable to any requested
 tolerance: evaluate M terms, attach the tail majorant, and report the pair
 as a two-sided enclosure.
+
+Large batches are evaluated in row blocks of about 1 MiB, shared with one
+worker thread past 8 blocks (see blocks); each block writes only its own
+rows, and every value equals the whole-array evaluation byte for byte.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import _blockwise
 from .errors import ToleranceError
 from .spaces import DualFamily, Element, norm, norm_batch
 
@@ -94,17 +99,24 @@ def very_weak_norm_batch(
 
     Either tau (per-row least-M rule, applied with the batch's largest strong
     norm) or an explicit term count may be given. Returns (lo, hi) arrays.
+
+    The rows are evaluated in row blocks of about 1 MiB (blocks._blockwise),
+    and a large batch is shared with one worker thread. A first pass takes
+    every strong norm, so the tau rule reads the largest of the whole batch;
+    a second takes the pairings. Every value equals the whole-array
+    evaluation byte for byte.
     """
     U = np.atleast_2d(np.asarray(U, dtype=np.float64))
-    n, d = U.shape
+    d = U.shape[1]
 
     if fam.mode == "coordinate":
         # Closed form: functionals beyond d annihilate every row, so using
         # M = d terms makes the tail exactly zero.
-        lo = np.abs(U) @ fam.coordinate_weights(d)
+        w = fam.coordinate_weights(d)
+        lo = _blockwise(lambda V: np.abs(V) @ w, U)
         return lo, lo.copy()
 
-    R = norm_batch(fam.space, U)
+    R = _blockwise(lambda V: norm_batch(fam.space, V), U)
     if terms is None:
         if tau is None:
             raise ToleranceError("need either tau or an explicit term count")
@@ -116,7 +128,8 @@ def very_weak_norm_batch(
     if M < 1:
         raise ToleranceError(f"term count must be >= 1, got {terms}")
 
-    pairings = np.abs(U @ fam.prefix_matrix(M, d).T)  # (n, M)
-    lo = pairings @ 2.0 ** (-np.arange(1, M + 1, dtype=np.float64))
+    P = fam.prefix_matrix(M, d).T  # (d, M)
+    series = 2.0 ** (-np.arange(1, M + 1, dtype=np.float64))
+    lo = _blockwise(lambda V: np.abs(V @ P) @ series, U)
     hi = lo + 2.0 ** (-M) * R
     return lo, hi

@@ -36,13 +36,14 @@ from ehrlab import (
     make_shift,
     make_sobolev_embedding,
     norm,
+    norm_batch,
     optimal_constant,
     reverse_certificate,
     three_space_certificate,
     verify_certificate,
     very_weak_norm,
 )
-from ehrlab import ehrling, optimize, spaces
+from ehrlab import blocks, ehrling, optimize, spaces, veryweak
 from ehrlab.cli import load_scenario, run
 from ehrlab.errors import DimensionMismatchError
 from ehrlab.optimize import NormHandle, norm_handle, operator_handle
@@ -411,20 +412,44 @@ class TestVerify:
 # ---------------------------------------------------------------------------
 
 def whole_array_ball_points(sampler: SamplerSettings, dim: int, h1: NormHandle) -> np.ndarray:
-    """The sample as one whole-array formula: the reference for the blocked one."""
-    rng = np.random.default_rng(sampler.seed)
-    X = rng.standard_normal((sampler.n_samples, dim))
-    radii = rng.random(sampler.n_samples) ** (1.0 / dim)
-    return np.vstack([optimize._unit(h1, X) * radii[:, None],
-                      optimize._unit(h1, np.eye(dim))])
+    """The sample as the whole-array formula on each chunk of
+    optimize._DRAW_ROWS rows, drawn from the chunk's own stream: the
+    reference for the blocked and threaded one."""
+    chunks = []
+    for c, a in enumerate(range(0, sampler.n_samples, optimize._DRAW_ROWS)):
+        m = min(optimize._DRAW_ROWS, sampler.n_samples - a)
+        rng = np.random.default_rng(np.random.SeedSequence(sampler.seed, spawn_key=(c,)))
+        X = rng.standard_normal((m, dim))
+        radii = rng.random(m) ** (1.0 / dim)
+        chunks.append(optimize._unit(h1, X) * radii[:, None])
+    return np.vstack([*chunks, optimize._unit(h1, np.eye(dim))])
 
 
-# a byte budget this small cuts blocks of optimize._BLOCK_ROWS rows, the least
+def whole_array_very_weak_norm(fam: DualFamily, U: np.ndarray, tau=None, terms=None):
+    """very_weak_norm_batch as one whole-array formula: the reference for the
+    blocked one."""
+    d = U.shape[1]
+    if fam.mode == "coordinate":
+        lo = np.abs(U) @ fam.coordinate_weights(d)
+        return lo, lo.copy()
+    R = norm_batch(fam.space, U)
+    if terms is None:
+        Rmax = float(R.max(initial=0.0))
+        terms = veryweak._least_terms(Rmax, tau) if Rmax > 0.0 else 1
+    series = 2.0 ** (-np.arange(1, terms + 1, dtype=np.float64))
+    lo = np.abs(U @ fam.prefix_matrix(terms, d).T) @ series
+    return lo, lo + 2.0 ** (-terms) * R
+
+
+# a byte budget this small cuts blocks of blocks._BLOCK_ROWS rows, the least
 SMALLEST_BLOCK = 1
 # with the basis, 1,036 rows at d = 8 and 1,060 at d = 32: sixteen blocks of
 # 64 rows and a rest. At d = 32 the rest holds 4 random rows, and a matrix
 # product on those 36 rows alone takes another OpenBLAS kernel path
 ODD = SamplerSettings(n_samples=1028, seed=3)
+# nine full draw chunks and a short tenth, so ball_points shares its chunks
+# with the worker at the default _SERIAL_BLOCKS
+CHUNKED = SamplerSettings(n_samples=9 * optimize._DRAW_ROWS + 1028, seed=3)
 
 
 def at_each_block_setting(monkeypatch, job):
@@ -432,11 +457,11 @@ def at_each_block_setting(monkeypatch, job):
     calling thread alone, then at the smallest one with every sample shared
     with the worker thread."""
     out = [job()]
-    monkeypatch.setattr(optimize, "_BLOCK_BYTES", SMALLEST_BLOCK)
-    assert len(optimize._row_blocks(ODD.n_samples, 32)) > optimize._SERIAL_BLOCKS
-    monkeypatch.setattr(optimize, "_SERIAL_BLOCKS", 1 << 62)
+    monkeypatch.setattr(blocks, "_BLOCK_BYTES", SMALLEST_BLOCK)
+    assert len(blocks._row_blocks(ODD.n_samples, 32)) > blocks._SERIAL_BLOCKS
+    monkeypatch.setattr(blocks, "_SERIAL_BLOCKS", 1 << 62)
     out.append(job())
-    monkeypatch.setattr(optimize, "_SERIAL_BLOCKS", 0)
+    monkeypatch.setattr(blocks, "_SERIAL_BLOCKS", 0)
     out.append(job())
     return out
 
@@ -447,9 +472,13 @@ class TestBlockedSample:
         NormSpec.sobolev_h1(0.5)], ids=["lp2", "lp3", "weighted-lp", "h1"])
     def test_ball_points_equal_the_whole_array_formula(self, ns, monkeypatch):
         h1 = norm_handle(ns)
-        ref = whole_array_ball_points(ODD, 8, h1).tobytes()
-        for pts in at_each_block_setting(monkeypatch, lambda: optimize.ball_points(ODD, 8, h1)):
-            assert pts.tobytes() == ref
+        assert -(-CHUNKED.n_samples // optimize._DRAW_ROWS) > blocks._SERIAL_BLOCKS
+        for sampler in (ODD, CHUNKED):
+            ref = whole_array_ball_points(sampler, 8, h1).tobytes()
+            for pts in at_each_block_setting(
+                    monkeypatch, lambda: optimize.ball_points(sampler, 8, h1)):
+                assert pts.tobytes() == ref
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("mode", ["coordinate", "dense-rational"])
     @pytest.mark.parametrize("kind", ["diagonal", "dense", "kernel"])
@@ -471,6 +500,30 @@ class TestBlockedSample:
 
         default, serial, threaded = at_each_block_setting(monkeypatch, run)
         assert serial == default and threaded == default
+
+    @pytest.mark.parametrize("rule", ["tau", "terms"])
+    @pytest.mark.parametrize("mode", ["coordinate", "dense-rational"])
+    @pytest.mark.parametrize("d", [8, 32])
+    def test_very_weak_norm_batch_equals_the_whole_array_formula(self, d, mode, rule,
+                                                                 monkeypatch):
+        fam = DualFamily(mode=mode, space=L2)
+        U = optimize.ball_points(ODD, d, norm_handle(L2))
+        # the largest strong norm sits in the last block, so a tau rule read
+        # from any other block would sum fewer terms
+        U[-1] *= 2.0 ** 20
+        R = norm_batch(L2, U)
+        assert veryweak._least_terms(R[:64].max(), 1e-10) < veryweak._least_terms(
+            R.max(), 1e-10)
+        kw = {"tau": 1e-10} if rule == "tau" else {"terms": optimize.ENCLOSURE_TERMS}
+        ref = [v.tobytes() for v in whole_array_very_weak_norm(fam, U, **kw)]
+        for out in at_each_block_setting(
+                monkeypatch, lambda: veryweak.very_weak_norm_batch(fam, U, **kw)):
+            assert [v.tobytes() for v in out] == ref
+
+    def test_zero_width_rows_are_cut_as_width_one(self):
+        assert blocks._row_blocks(5, 0) == [slice(0, 5)]
+        for n in (0, 1000, 300_000):
+            assert blocks._row_blocks(n, 0) == blocks._row_blocks(n, 1)
 
     def test_certify_does_not_depend_on_the_block_size(self, monkeypatch):
         T = gallery()["kernel"]
@@ -500,7 +553,7 @@ class TestBlockedSample:
         def no_worker():
             raise AssertionError("a default certify sample reached the worker")
 
-        monkeypatch.setattr(optimize, "_worker", no_worker)
+        monkeypatch.setattr(blocks, "_worker", no_worker)
         T = make_diagonal(2.0 ** (-0.5 * np.arange(64)), L2, L2)
         before = threading.active_count()
         cert = certify(T, L2, DualFamily(mode="coordinate", space=L2), eps_grid=(0.5,),
@@ -511,7 +564,7 @@ class TestBlockedSample:
     @pytest.mark.parametrize("where", ["sample", "ball_points"])
     def test_a_late_block_error_reaches_the_caller_after_every_block_ends(
             self, where, monkeypatch):
-        monkeypatch.setattr(optimize, "_BLOCK_BYTES", SMALLEST_BLOCK)
+        monkeypatch.setattr(blocks, "_BLOCK_BYTES", SMALLEST_BLOCK)
 
         class LateBlockError(Exception):
             pass
@@ -540,19 +593,22 @@ class TestBlockedSample:
 
         h = Failing()
         pts = optimize.ball_points(ODD, 8, norm_handle(L2))
-        assert len(optimize._row_blocks(*pts.shape)) > optimize._SERIAL_BLOCKS
+        assert len(blocks._row_blocks(*pts.shape)) > blocks._SERIAL_BLOCKS
+        # ball_points calls the handle once per chunk: the sixth call scales
+        # a late one of CHUNKED's ten
+        assert -(-CHUNKED.n_samples // optimize._DRAW_ROWS) > blocks._SERIAL_BLOCKS
         with pytest.raises(LateBlockError):
             if where == "sample":
                 ehrling._sample(h, h, h, pts)
             else:
-                optimize.ball_points(ODD, 8, h)
+                optimize.ball_points(CHUNKED, 8, h)
         calls = h.calls
         assert h.running == 0
         time.sleep(0.1)
         assert h.calls == calls  # no cancelled block started later
 
     def test_dense_verify_on_the_worker_builds_each_member_once(self, monkeypatch):
-        monkeypatch.setattr(optimize, "_BLOCK_BYTES", SMALLEST_BLOCK)
+        monkeypatch.setattr(blocks, "_BLOCK_BYTES", SMALLEST_BLOCK)
         built = Counter()
         raw = spaces._dense_raw_vector
 
@@ -563,42 +619,70 @@ class TestBlockedSample:
 
         monkeypatch.setattr(spaces, "_dense_raw_vector", counted)
         T = gallery(32)["dense"]
-        assert len(optimize._row_blocks(ODD.n_samples + 32, 32)) > optimize._SERIAL_BLOCKS
+        assert len(blocks._row_blocks(ODD.n_samples + 32, 32)) > blocks._SERIAL_BLOCKS
         verify_certificate(T, L2, DualFamily(mode="dense-rational", space=L2), 10.0, 1.0,
                            sampler=ODD)
         assert len(built) == optimize.ENCLOSURE_TERMS
         assert set(built.values()) == {1}
 
     def test_a_nested_call_from_the_worker_runs_inline(self, monkeypatch):
-        monkeypatch.setattr(optimize, "_SERIAL_BLOCKS", 0)
-        blocks = [slice(i, i + 1) for i in range(6)]
+        monkeypatch.setattr(blocks, "_SERIAL_BLOCKS", 0)
+        slices = [slice(i, i + 1) for i in range(6)]
         inner_threads = []
 
         def inner(s):
             inner_threads.append(threading.current_thread().name)
 
         def outer(s):
-            if threading.current_thread().name.startswith(optimize._WORKER):
-                optimize._each_block(inner, blocks)
+            if threading.current_thread().name.startswith(blocks._WORKER):
+                blocks._each_block(inner, slices)
 
         # on a helper thread, so that a deadlock fails the test instead of
         # hanging it
-        caller = threading.Thread(target=optimize._each_block, args=(outer, blocks),
+        caller = threading.Thread(target=blocks._each_block, args=(outer, slices),
                                   daemon=True)
         caller.start()
         caller.join(timeout=30)
         assert not caller.is_alive()
-        assert len(inner_threads) == 6 * len(blocks[1::2])
-        assert all(name.startswith(optimize._WORKER) for name in inner_threads)
+        assert len(inner_threads) == 6 * len(slices[1::2])
+        assert all(name.startswith(blocks._WORKER) for name in inner_threads)
+
+    def test_concurrent_callers_share_the_worker(self, monkeypatch):
+        # four callers, more than the cores of a small machine, queue their
+        # blocks on the one worker; a short switch interval interleaves them
+        monkeypatch.setattr(blocks, "_BLOCK_BYTES", SMALLEST_BLOCK)
+        monkeypatch.setattr(blocks, "_SERIAL_BLOCKS", 0)
+        fam = DualFamily(mode="dense-rational", space=L2)
+        h1 = norm_handle(L2)
+
+        def job():
+            pts = optimize.ball_points(CHUNKED, 8, h1)
+            lo, hi = veryweak.very_weak_norm_batch(fam, pts[:ODD.n_samples], tau=1e-10)
+            return pts.tobytes(), lo.tobytes(), hi.tobytes()
+
+        expected, results = job(), []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=lambda: results.append(job()), daemon=True)
+                       for _ in range(4)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == [expected] * 4
 
     def test_a_forked_child_runs_a_threaded_verify(self):
         # in a fresh interpreter, so both processes also exit the normal way,
         # through the executor's exit hook; a hung child ends by SIGALRM
         script = """if True:
             import os, signal, sys
-            from ehrlab import (DualFamily, NormSpec, SamplerSettings, make_kernel,
-                                optimize, verify_certificate)
-            optimize._BLOCK_BYTES, optimize._SERIAL_BLOCKS = 1, 0
+            from ehrlab import (DualFamily, NormSpec, SamplerSettings, blocks, make_kernel,
+                                verify_certificate)
+            blocks._BLOCK_BYTES, blocks._SERIAL_BLOCKS = 1, 0
             L2 = NormSpec.lp(2)
             T = make_kernel([[2.0 ** -abs(i - j) for j in range(8)] for i in range(8)],
                             0.125, L2, L2)
@@ -609,7 +693,7 @@ class TestBlockedSample:
                 return rep.as_dict(), rep.worst.coeffs.tobytes()
 
             expected = report()
-            assert optimize._pool is not None
+            assert blocks._pool is not None
             pid = os.fork()
             if pid == 0:
                 signal.alarm(60)

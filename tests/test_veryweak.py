@@ -21,6 +21,7 @@ from ehrlab import (
     very_weak_norm,
     very_weak_norm_batch,
 )
+from ehrlab import blocks
 
 L2 = NormSpec.lp(2)
 COORD = DualFamily(mode="coordinate", space=L2)
@@ -254,6 +255,17 @@ class TestDenseMode:
         assert np.allclose(lo, oracle, rtol=1e-12)
         strong = np.sqrt((U * U).sum(axis=1))
         assert np.allclose(hi, lo + 2.0 ** (-25) * strong, rtol=1e-12)
+
+
+@pytest.mark.parametrize("rule", [{"tau": 1e-3}, {"terms": 5}], ids=["tau", "terms"])
+@pytest.mark.parametrize("fam", [COORD, DENSE], ids=["coordinate", "dense-rational"])
+@pytest.mark.parametrize("n", [5, 1000])
+def test_zero_width_rows_have_zero_enclosures(n, fam, rule, monkeypatch):
+    # blocks of 64 rows: 1,000 empty rows make 15, which the worker thread shares
+    monkeypatch.setattr(blocks, "_BLOCK_BYTES", 1)
+    lo, hi = very_weak_norm_batch(fam, np.empty((n, 0)), **rule)
+    assert lo.shape == hi.shape == (n,)
+    assert not lo.any() and not hi.any()
 
 
 # ---------------------------------------------------------------------------
