@@ -4,17 +4,14 @@ Large batches are cut into row blocks: ehrling._sample and
 veryweak.very_weak_norm_batch (through _blockwise) evaluate theirs in blocks
 of about _BLOCK_BYTES, so each block's chain of kernels stays in cache, and
 optimize.ball_points draws its sample in fixed chunks. _each_block shares a
-batch of more than _SERIAL_BLOCKS blocks with one worker thread, started on
-first use. Each block writes only its own rows, so no value depends on which
-thread computed it. The worker runs block work it calls itself inline, and
-a forked child starts a worker of its own.
+batch of more than _SERIAL_BLOCKS blocks with one worker thread that lives
+for that call. Each block writes only its own rows, so no value depends on
+which thread computed it.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from contextlib import contextmanager
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -41,70 +38,32 @@ def _row_blocks(n: int, dim: int):
     return [slice(a, b) for a, b in zip(starts, [*starts[1:], n])]
 
 
-_WORKER = "ehrlab-blocks"  # the name of the block worker's thread
-_pool = None  # the executor of that one thread, started on first use
-
-
-def _drop_worker():  # a forked child inherits the executor but not its thread
-    global _pool
-    _pool = None
-
-
-os.register_at_fork(after_in_child=_drop_worker)
-
-
-def _worker():
-    global _pool
-    if _pool is None:
-        from concurrent.futures import ThreadPoolExecutor
-        _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix=_WORKER)
-    return _pool
-
-
-def _threaded(blocks) -> bool:
-    """True if these blocks are shared with the worker: more than
-    _SERIAL_BLOCKS of them, and not called from the worker itself (which
-    runs its blocks inline, so nothing waits on the worker from it)."""
-    return (len(blocks) > _SERIAL_BLOCKS
-            and not threading.current_thread().name.startswith(_WORKER))
-
-
-@contextmanager
-def _joined(jobs):
-    """Wait for every worker job in jobs on leaving. If the body raises,
-    jobs not yet started are cancelled first; otherwise the first job's
-    error is raised, after all have ended."""
-    try:
-        yield
-    except BaseException:
-        for job in jobs:
-            job.cancel()
-        raise
-    finally:
-        for job in jobs:
-            if not job.cancelled():
-                job.exception()  # waits for it
-    for job in jobs:
-        job.result()
-
-
 def _each_block(fn, blocks) -> None:
     """fn(s) for every slice s of blocks, each writing only its own rows.
 
     The first block always runs on the calling thread, so lazy caches (a
     family's prefix_matrix, coordinate_weights and functional members) are
     built once, by one thread. Past _SERIAL_BLOCKS blocks, every other later
-    block goes to the worker; no value depends on which thread computed it.
+    block goes to a worker thread started for this call; no value depends on
+    which thread computed it. If a caller block raises, the worker's blocks
+    not yet started are cancelled; otherwise the first worker error is
+    raised. Either way, only after every started block has ended.
     """
-    if not _threaded(blocks):
+    if len(blocks) <= _SERIAL_BLOCKS:
         for s in blocks:
             fn(s)
         return
     fn(blocks[0])
-    jobs = [_worker().submit(fn, s) for s in blocks[1::2]]
-    with _joined(jobs):
-        for s in blocks[2::2]:
-            fn(s)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        jobs = [worker.submit(fn, s) for s in blocks[1::2]]
+        try:
+            for s in blocks[2::2]:
+                fn(s)
+        except BaseException:
+            worker.shutdown(cancel_futures=True)
+            raise
+    for job in jobs:
+        job.result()
 
 
 def _blockwise(fn, U: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -53,19 +54,12 @@ from .veryweak import very_weak_norm
 
 __all__ = ["load_scenario", "validate_scenario", "run", "main"]
 
-JOBS = ("norm", "certify", "reverse", "three-space", "falsify",
-        "classify", "counterexample")
 
-_schema_cache = None
-
-
+@functools.cache
 def _schema() -> dict:
-    global _schema_cache
-    if _schema_cache is None:
-        text = resources.files("ehrlab").joinpath(
-            "schemas/scenario.schema.json").read_text(encoding="utf-8")
-        _schema_cache = json.loads(text)
-    return _schema_cache
+    text = resources.files("ehrlab").joinpath(
+        "schemas/scenario.schema.json").read_text(encoding="utf-8")
+    return json.loads(text)
 
 
 def validate_scenario(doc) -> None:
@@ -197,10 +191,12 @@ def _job_falsify(sc):
     norm1 = normspec_from_json(sc["norm1"])
     fam = family_from_json(sc["family"])
     w = falsify(T, norm1, fam, sc["eps"], sc["c_max"], opt=_optimizer(sc))
+    table = [("eps", "lower_bound_on_C", "residual")]
     if w is None:
         return 3, {"witness": None,
-                   "note": "no witness within budget; inconclusive"}, None
-    return 2, {"witness": w.as_dict()}, None
+                   "note": "no witness within budget; inconclusive"}, table
+    table.append((w.eps, w.lower_bound_on_C, w.residual))
+    return 2, {"witness": w.as_dict()}, table
 
 
 def _job_classify(sc):
@@ -319,7 +315,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="execute a scenario JSON file")
     runp.add_argument("scenario", help="path to the scenario JSON")
-    runp.add_argument("--job", choices=JOBS, default=None,
+    runp.add_argument("--job", choices=tuple(_HANDLERS), default=None,
                       help="override the scenario's job field")
     runp.add_argument("--output-dir", default=None,
                       help="directory for report files (default: cwd)")

@@ -190,9 +190,9 @@ def _sample(hy: NormHandle, h1: NormHandle, h2: NormHandle, pts: np.ndarray):
     points reuses them (see _residuals) instead of re-evaluating them. They
     are evaluated one row block of about 1 MiB at a time
     (blocks._row_blocks) through blocks._each_block, which shares the
-    blocks of a sample over 8 blocks with one worker thread. So memory is
-    the points plus up to two blocks, and every value equals the
-    whole-array evaluation byte for byte.
+    blocks of a sample over 8 blocks with one worker thread started for that
+    call. So memory is the points plus up to two blocks, and every value
+    equals the whole-array evaluation byte for byte.
     """
     y, n1, lo, hi = (np.empty(pts.shape[0]) for _ in range(4))
 

@@ -31,9 +31,9 @@ positively homogeneous).
 Verification samples are drawn by ball_points in chunks of _DRAW_ROWS rows,
 each chunk from its own seeded stream, and evaluated by ehrling._sample in
 row blocks of about 1 MiB. Both go through blocks._each_block, which shares
-the chunks or blocks of a large sample with one worker thread. Each chunk
-and block writes only its own rows, so every value is the same for any
-thread count and any block size.
+the chunks or blocks of a large sample with one worker thread started for
+that call. Each chunk and block writes only its own rows, so every value is
+the same for any thread count and any block size.
 """
 
 from __future__ import annotations
@@ -245,8 +245,8 @@ def ball_points(sampler: SamplerSettings, dim: int, norm1: NormHandle) -> np.nda
     (V / norm1(V)) * r. So no point depends on the thread that draws its
     chunk, on the thread count or on the block size. The sample is held
     once, and the chunks are drawn and scaled in place through one
-    _each_block pass, which shares them with the worker past _SERIAL_BLOCKS
-    chunks.
+    _each_block pass, which shares them with a worker thread of its own past
+    _SERIAL_BLOCKS chunks.
     """
     n = sampler.n_samples
     out = np.empty((n + dim, dim))

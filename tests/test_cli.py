@@ -273,6 +273,21 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [p]
 
+    @pytest.mark.parametrize("key, name", [
+        ("report", "../escaped.json"), ("csv", "../escaped.csv"), ("report", "/escaped.json"),
+        ("csv", "sub\\escaped.csv"), ("report", "."), ("csv", ".."),
+    ], ids=["report-parent", "csv-parent", "report-absolute", "csv-backslash",
+            "report-dot", "csv-dotdot"])
+    def test_output_names_cannot_leave_the_output_dir(self, tmp_path, capsys, key, name):
+        # Path(out) / "/abs" would drop out, and "../x" would climb out of it
+        if name.startswith("/"):
+            name = str(tmp_path / name[1:])
+        p = write_scenario(tmp_path, certify_doc(output={key: name}))
+        out = tmp_path / "out" / "dir"
+        assert main(["run", str(p), "--output-dir", str(out)]) == 1
+        assert f"/output/{key}: " in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == [p]
+
     @pytest.mark.parametrize("operator", [
         {"kind": "dense", "matrix": [[1.0, 0.0], [0.5]]},
         {"kind": "kernel", "samples": [[1.0, 0.5], [0.5]], "spacing": 0.5},
@@ -393,6 +408,22 @@ class TestReports:
         run(sc, output_dir=b)
         for name in ("certify_diag16-report.json", "certify_diag16-rows.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("operator, status", [
+        ({"kind": "shift"}, 2),
+        ({"kind": "diagonal", "lambda": [2.0 ** -k for k in range(1, 17)]}, 3),
+    ], ids=["witness", "inconclusive"])
+    def test_falsify_writes_the_csv_it_is_asked_for(self, tmp_path, operator, status):
+        doc = json.loads((SCENARIOS / "falsify_shift.json").read_text())
+        doc.update(operator=operator, output={"csv": "witness.csv"})
+        p = write_scenario(tmp_path, doc)
+        assert main(["run", str(p), "--output-dir", str(tmp_path)]) == status
+        lines = (tmp_path / "witness.csv").read_text().splitlines()
+        assert lines[0] == "eps,lower_bound_on_C,residual"
+        assert len(lines) == (2 if status == 2 else 1)
+        if status == 2:
+            w = json.loads((tmp_path / "falsify-report.json").read_text())["result"]["witness"]
+            assert lines[1] == f"{w['eps']},{w['lower_bound_on_C']},{w['residual']}"
 
     def test_output_dir_is_created(self, tmp_path):
         sc = load_scenario(SCENARIOS / "norm_e3.json")

@@ -550,10 +550,10 @@ class TestBlockedSample:
     def test_certify_at_d64_with_the_default_sampler_starts_no_worker(self, monkeypatch):
         # certify's own sample (10,064 rows, 4 blocks at d = 64) stays on the
         # calling thread, so its memory and timing are those of one thread
-        def no_worker():
-            raise AssertionError("a default certify sample reached the worker")
+        def no_worker(*args, **kwargs):
+            raise AssertionError("a default certify sample started a worker")
 
-        monkeypatch.setattr(blocks, "_worker", no_worker)
+        monkeypatch.setattr(blocks, "ThreadPoolExecutor", no_worker)
         T = make_diagonal(2.0 ** (-0.5 * np.arange(64)), L2, L2)
         before = threading.active_count()
         cert = certify(T, L2, DualFamily(mode="coordinate", space=L2), eps_grid=(0.5,),
@@ -625,16 +625,16 @@ class TestBlockedSample:
         assert len(built) == optimize.ENCLOSURE_TERMS
         assert set(built.values()) == {1}
 
-    def test_a_nested_call_from_the_worker_runs_inline(self, monkeypatch):
+    def test_a_nested_call_from_a_worker_block_runs_every_inner_block(self, monkeypatch):
         monkeypatch.setattr(blocks, "_SERIAL_BLOCKS", 0)
         slices = [slice(i, i + 1) for i in range(6)]
-        inner_threads = []
+        inner_calls = Counter()
 
         def inner(s):
-            inner_threads.append(threading.current_thread().name)
+            inner_calls[s.start] += 1
 
         def outer(s):
-            if threading.current_thread().name.startswith(blocks._WORKER):
+            if threading.current_thread() is not caller:
                 blocks._each_block(inner, slices)
 
         # on a helper thread, so that a deadlock fails the test instead of
@@ -644,12 +644,41 @@ class TestBlockedSample:
         caller.start()
         caller.join(timeout=30)
         assert not caller.is_alive()
-        assert len(inner_threads) == 6 * len(slices[1::2])
-        assert all(name.startswith(blocks._WORKER) for name in inner_threads)
+        # each of the three worker blocks runs all six inner blocks once
+        assert inner_calls == {s.start: len(slices[1::2]) for s in slices}
 
-    def test_concurrent_callers_share_the_worker(self, monkeypatch):
-        # four callers, more than the cores of a small machine, queue their
-        # blocks on the one worker; a short switch interval interleaves them
+    # blocks 2 and 3 run on the caller and on the worker
+    @pytest.mark.parametrize("fails", [None, 2, 3], ids=["normal", "caller", "worker"])
+    def test_a_threaded_call_leaves_no_thread_behind(self, fails, monkeypatch):
+        monkeypatch.setattr(blocks, "_SERIAL_BLOCKS", 0)
+        slices = [slice(i, i + 1) for i in range(6)]
+        ran = set()
+
+        class BlockError(Exception):
+            pass
+
+        def block(s):
+            ran.add(s.start)
+            if s.start == fails:
+                raise BlockError
+            time.sleep(0.1 * (s.start % 2))  # the worker's blocks are slow
+
+        before = threading.active_count()
+        if fails is None:
+            blocks._each_block(block, slices)
+        else:
+            with pytest.raises(BlockError):
+                blocks._each_block(block, slices)
+        assert threading.active_count() == before
+        # a caller error cancels the worker's blocks that have not started
+        if fails == 2:
+            assert {0, 2} <= ran and not {3, 4, 5} & ran
+        else:
+            assert ran == set(range(6))
+
+    def test_concurrent_callers_get_identical_values(self, monkeypatch):
+        # four callers, more than the cores of a small machine, each with a
+        # worker of its own; a short switch interval interleaves them
         monkeypatch.setattr(blocks, "_BLOCK_BYTES", SMALLEST_BLOCK)
         monkeypatch.setattr(blocks, "_SERIAL_BLOCKS", 0)
         fam = DualFamily(mode="dense-rational", space=L2)
@@ -693,7 +722,6 @@ class TestBlockedSample:
                 return rep.as_dict(), rep.worst.coeffs.tobytes()
 
             expected = report()
-            assert blocks._pool is not None
             pid = os.fork()
             if pid == 0:
                 signal.alarm(60)
