@@ -10,8 +10,8 @@ seeds echoed. Running the same scenario twice must produce byte-identical
 files; the golden tests enforce this.
 
 Exit status: 0 = job completed with a PASS or constructed result,
-2 = falsified (witness found, or no modulus exists down to the floor),
-3 = inconclusive within budget, 1 = usage or config error.
+2 = falsified (witness found, or no modulus exists down to the floor, proved
+beyond rounding), 3 = inconclusive within budget, 1 = usage or config error.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ def _sequence(sc: dict, fam) -> SequenceGen:
 
 
 # ---------------------------------------------------------------------------
-# job handlers: each returns (exit_status, result dict, csv table or None)
+# job handlers: each returns (exit_status, result dict, csv table)
 # ---------------------------------------------------------------------------
 
 def _job_norm(sc):
@@ -282,11 +282,12 @@ def run(sc: dict, output_dir=None) -> int:
     try:
         status, result, table = _HANDLERS[job](sc)
     except NoModulusError as exc:
-        # falsified only when the upper enclosure proves it; else inconclusive
-        status = 2 if exc.sup_at_floor > exc.eps else 3
+        # falsified only when the upper enclosure proves it beyond rounding;
+        # else inconclusive. The row table is written with its header only.
+        status = 2 if exc.proved else 3
         result = {"no_modulus": {"eps": exc.eps, "delta_floor": exc.delta_floor,
                                  "sup_at_floor": exc.sup_at_floor}}
-        table = None
+        table = _rows_table([])
 
     payload = {
         "artifact": {"name": "ehrlab", "version": __version__},
@@ -297,13 +298,12 @@ def run(sc: dict, output_dir=None) -> int:
         "result": result,
     }
     _write_report(out / names.get("report", f"{job}-report.json"), payload)
-    if table is not None:
-        csv_name = names.get("csv")
-        if csv_name is None and job in ("certify", "three-space", "classify",
-                                        "counterexample"):
-            csv_name = f"{job}-rows.csv"
-        if csv_name is not None:
-            _write_csv(out / csv_name, table)
+    csv_name = names.get("csv")
+    if csv_name is None and job in ("certify", "three-space", "classify",
+                                    "counterexample"):
+        csv_name = f"{job}-rows.csv"
+    if csv_name is not None:
+        _write_csv(out / csv_name, table)
     return status
 
 

@@ -16,7 +16,8 @@ Soundness conventions, applied throughout:
   constant is a genuine lower bound on any admissible C;
 * the inner maximization admits points by the lower bound, which can only
   enlarge the feasible region and shrink the certified delta; "no modulus"
-  is proved only when the upper bound decides feasibility;
+  is proved only when, with the upper bound deciding feasibility, the sup
+  at the floor still exceeds eps by more than 64 * dim ulps of rounding;
 * dense enclosures sum 35 terms (optimize.ENCLOSURE_TERMS): tail 2^-35 ||u||.
 
 optimize.ratio_objective builds every quotient searched here (sharp
@@ -24,15 +25,16 @@ constant, falsify, hardening attack), each enclosure on its side as above.
 
 The moduli of all rows come from one search (optimize.bisect_modulus): the
 upper bound on delta and the descent that brackets each row are shared, and
-each bracket is narrowed by ITP interpolation in ln delta, all open rows
-sharing one grouped search per round. Certificates are hardened after that
-search: a dedicated ascent attacks the PASS residual, and delta shrinks
-until the attack comes back empty; each round attacks every row not yet
-hardened in one grouped search. A grouped search calls each objective on
-one row's directions only, so every row comes out as it would alone. Rows
-of a certificate table may inherit the constant of a smaller-eps row (valid
-there implies valid here), which enforces monotonicity without weakening any
-claim.
+each bracket is narrowed by ITP interpolation in ln delta. A trial that a
+point the row already knows refutes (one reading above eps there) fails
+with no search; the trials left open share one grouped search per round.
+Certificates are hardened after that search: a dedicated ascent attacks the
+PASS residual, and delta shrinks until the attack comes back empty; each
+round attacks every row not yet hardened in one grouped search. A grouped
+search calls each objective on one row's directions only, so every row
+comes out as it would alone. Rows of a certificate table may inherit the
+constant of a smaller-eps row (valid there implies valid here), which
+enforces monotonicity without weakening any claim.
 """
 
 from __future__ import annotations

@@ -30,15 +30,18 @@ class NoModulusError(EhrlabError):
 
     Raised when the restricted supremum (norm2's lower enclosure deciding
     feasibility) still exceeds eps at the floor. sup_at_floor is the one
-    found there with the *upper* enclosure deciding: its points are truly
-    feasible, so sup_at_floor > eps proves that no modulus above the floor
-    exists; otherwise the enclosure is too loose to decide.
+    found there with the *upper* enclosure deciding, so its points are truly
+    feasible up to rounding. proved is True when sup_at_floor exceeds eps by
+    more than that rounding can account for: then no modulus above the floor
+    exists. Otherwise the evaluation is too loose to decide.
     """
 
-    def __init__(self, eps: float, delta_floor: float, sup_at_floor: float):
+    def __init__(self, eps: float, delta_floor: float, sup_at_floor: float,
+                 proved: bool):
         self.eps = eps
         self.delta_floor = delta_floor
         self.sup_at_floor = sup_at_floor
+        self.proved = proved
         super().__init__(
             f"no modulus for eps={eps:.6g} above the delta floor {delta_floor:.3g}; "
             f"restricted supremum there {sup_at_floor:.6g} (upper enclosure)"

@@ -71,6 +71,10 @@ ITP_N0 = 1
 # bracket width in x that guarantees hi / lo <= 1 + BISECT_REL_WIDTH for the
 # rounded deltas bound * exp(x)
 _ITP_WIDTH = math.log1p(BISECT_REL_WIDTH) * (1.0 - 1e-9)
+# relative rounding allowed per coordinate in a sup at the floor: the value
+# is hy * min(1 / norm1, delta / norm2), three sums of at most 2 d + 2
+# nonnegative rounded terms each, so it errs by under 64 d ulps
+_ROUNDING = 64 * 2.0 ** -53
 # a verification sample is drawn in chunks of this many rows, each from its
 # own seeded stream, so a chunk's points do not depend on the thread or the
 # block size that computes them
@@ -86,7 +90,8 @@ class OptimizerSettings:
     back to 16. delta_floor is the smallest modulus the search will
     consider: the descent bound, bound/16, ... stops there. A row whose
     predicate still fails at it raises NoModulusError, with the sup found
-    there when norm2's upper enclosure decides feasibility.
+    there when norm2's upper enclosure decides feasibility; it proves that
+    no modulus exists only if it exceeds eps by more than 64 * dim ulps.
     """
 
     seed: int = 0
@@ -524,13 +529,28 @@ def _itp_point(a: float, b: float, fa, fb, k1: float, r: float) -> float:
     return xt if abs(xt - half) <= r else half - sigma * r
 
 
-def _itp_row(bound: float, eps: float, lo, hi, row: list):
+def _known_sup(hy: NormHandle, norm1: NormHandle, norm2: NormHandle,
+               delta: float, pool: list):
+    """The largest value at delta of the restricted objective (see
+    _restricted_problem) over the points of pool, with its point: a lower
+    bound on the restricted sup at delta, found with no search."""
+    P = np.vstack(pool)
+    vals = _restricted_problem(hy, norm1, norm2, delta)[0](P)
+    j = int(np.argmax(vals))
+    return float(vals[j]), P[j]
+
+
+def _itp_row(bound: float, eps: float, lo, hi, row: list, handles):
     """One row's ITP refinement of its bracket, as a coroutine.
 
     lo and hi are the (delta, sup, maximizer) links where the predicate
-    held and failed. Each step yields a trial's (delta, warm start) and is
-    sent back its (sup, maximizer); the maximizer joins row[1], and row[0]
-    keeps the last delta whose predicate held.
+    held and failed; handles are the (hy, norm1, norm2) of the search. Each
+    trial is first evaluated on the row's known points, row[1]: when one of
+    them exceeds eps there, the trial fails with that value and point, and
+    no search runs. Each other trial is yielded as its (delta, warm start)
+    and sent back its (sup, maximizer). Either way the point joins row[1]
+    and warm starts the next search, and row[0] keeps the last delta whose
+    predicate held: its search and every point known then read at most eps.
     """
     (lo_d, val, w), (hi_d, hi_val, _) = lo, hi
     a, b = math.log(lo_d / bound), math.log(hi_d / bound)
@@ -542,7 +562,11 @@ def _itp_row(bound: float, eps: float, lo, hi, row: list):
         r = max(0.5 * _ITP_WIDTH * 2.0 ** (n_max - j) - 0.5 * (b - a), 0.0)
         x = _itp_point(a, b, fa, fb, k1, r)
         trial = bound * math.exp(x)
-        val, w = yield trial, w[None, :]
+        val, w_known = _known_sup(*handles, trial, row[1])
+        if val > eps:
+            w = w_known
+        else:
+            val, w = yield trial, w[None, :]
         row[1].append(w)
         if val <= eps:
             a, lo_d, fa = x, trial, _log_ratio(val, eps)
@@ -567,10 +591,11 @@ def bisect_modulus(hy: NormHandle, norm1: NormHandle, norm2: NormHandle, eps_gri
 
     hy is the objective seminorm (u -> ||Tu||_Y in the forward inequality);
     the sup runs over {norm1(u) <= 1, norm2(u) <= delta}. Returns one
-    (delta, witnesses) per eps, in grid order: the maximizer of every
-    predicate's search on the way to that delta, a pool the verification
-    reuses. When the upper search bound itself satisfies the predicate (the
-    constraint never binds) it is returned as delta.
+    (delta, witnesses) per eps, in grid order: the point of every
+    predicate on the way to that delta (its search's maximizer, or the
+    known point that decided it), a pool the verification reuses. When the
+    upper search bound itself satisfies the predicate (the constraint never
+    binds) it is returned as delta.
 
     Nothing before the refinement depends on eps: the upper search bound
     and the geometric descent bound, bound/16, ... (each search warm-started
@@ -582,13 +607,20 @@ def bisect_modulus(hy: NormHandle, norm1: NormHandle, norm2: NormHandle, eps_gri
     a feasible point by delta/delta' keeps it feasible, so sup is
     nondecreasing and sup/delta nonincreasing: f has slope in [0, 1] in x,
     where interpolation beats halving. Each trial is bound * exp(x), warm
-    started from the row's previous search; the result is the last lo, a
+    started from the row's previous point; the result is the last lo, a
     delta whose predicate held, and no row takes more than ITP_N0 steps
-    beyond the bisection count of its first bracket. The rows refine in
-    rounds: every row still open proposes its next trial, and one grouped
-    search (_maximize_group) evaluates them all. Each row's trials depend on
-    its own results alone, so a grid call returns exactly what one-eps
-    calls return.
+    beyond the bisection count of its first bracket, however its trials
+    are decided. A delta works for eps only if no feasible point reads
+    above eps, so a trial is first evaluated on the row's witnesses so far
+    (its chain links and the maximizers of its earlier trials): one above
+    eps fails the trial with no search, and the row proposes its next trial
+    at once. The rows refine in rounds: every row still open proposes
+    trials until one is left that no known point decides, and one grouped
+    search (_maximize_group) evaluates those. A point found after a delta
+    was taken is not checked against it, so a later search can still find
+    one that reads above eps at the returned delta. Each row's trials
+    depend on its own points and results alone, so a grid call returns
+    exactly what one-eps calls return.
     """
     eps_grid = [float(e) for e in eps_grid]
     for eps in eps_grid:
@@ -618,13 +650,15 @@ def bisect_modulus(hy: NormHandle, norm1: NormHandle, norm2: NormHandle, eps_gri
         delta, val, w = chain[k]
         if not val <= eps:
             # proved only if it still fails with norm2's upper bound
-            # deciding feasibility
+            # deciding feasibility, by more than the rounding of the value
             sup, _ = _restricted_sup(hy, norm1, norm2, delta, dim, opt,
                                      w[None, :], side="hi")
-            raise NoModulusError(eps, opt.delta_floor, sup)
+            raise NoModulusError(eps, opt.delta_floor, sup,
+                                 proved=sup > eps * (1.0 + _ROUNDING * dim))
         out.append([delta, [c[2] for c in chain[:k + 1]]])
         if k:
-            searches.append(_itp_row(bound, eps, chain[k], chain[k - 1], out[-1]))
+            searches.append(_itp_row(bound, eps, chain[k], chain[k - 1], out[-1],
+                                     (hy, norm1, norm2)))
 
     pending = [(s, _resume(s, None)) for s in searches]
     while pending := [(s, t) for s, t in pending if t is not None]:

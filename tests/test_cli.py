@@ -349,6 +349,24 @@ class TestExitCodes:
         assert nm["delta_floor"] == 0.01
         assert nm["sup_at_floor"] > 0.5
 
+    def test_a_one_ulp_excess_at_the_floor_is_no_proof(self, tmp_path):
+        # the shift is an isometry, so at eps = 1 the modulus predicate holds
+        # with equality; the sup at the floor reads 1 + 1 ulp, which rounding
+        # explains, so the run is inconclusive, not falsified
+        doc = {
+            "job": "certify",
+            "operator": {"kind": "shift"},
+            "norm1": {"kind": "lp", "p": 2},
+            "norm2": {"mode": "coordinate"},
+            "eps_grid": [1.5, 1, 0.5],
+            "budget": {"dim": 16, "delta_floor": 0.01},
+        }
+        p = write_scenario(tmp_path, doc)
+        assert main(["run", str(p), "--output-dir", str(tmp_path)]) == 3
+        nm = json.loads((tmp_path / "certify-report.json").read_text())["result"]["no_modulus"]
+        assert nm["eps"] == 1.0
+        assert 1.0 < nm["sup_at_floor"] <= 1.0 + 1e-15
+
     def test_unproved_no_modulus_exits_3(self, tmp_path):
         # certify_diag16 with the dense-rational family: the lower enclosure
         # leaves no modulus at eps = 1/8, but with the upper enclosure
@@ -424,6 +442,32 @@ class TestReports:
         if status == 2:
             w = json.loads((tmp_path / "falsify-report.json").read_text())["result"]["witness"]
             assert lines[1] == f"{w['eps']},{w['lower_bound_on_C']},{w['residual']}"
+
+    @pytest.mark.parametrize("eps_grid, status", [([0.5], 2), ([1.5, 1, 0.5], 3)],
+                             ids=["proved", "unproved"])
+    def test_no_modulus_writes_the_header_of_the_row_table(self, tmp_path, eps_grid,
+                                                           status):
+        doc = {
+            "job": "certify",
+            "operator": {"kind": "shift"},
+            "norm1": {"kind": "lp", "p": 2},
+            "norm2": {"mode": "coordinate"},
+            "eps_grid": eps_grid,
+            "budget": {"dim": 16, "delta_floor": 0.01},
+            "output": {"report": "r.json", "csv": "rows.csv"},
+        }
+        p = write_scenario(tmp_path, doc)
+        assert main(["run", str(p), "--output-dir", str(tmp_path)]) == status
+        assert "no_modulus" in json.loads((tmp_path / "r.json").read_text())["result"]
+        assert (tmp_path / "rows.csv").read_text().splitlines() == [
+            "eps,delta,C,method,residual"]
+        # without output.csv a certify writes its table under the default name
+        del doc["output"]["csv"]
+        out = tmp_path / "default"
+        p = write_scenario(tmp_path, doc)
+        assert main(["run", str(p), "--output-dir", str(out)]) == status
+        assert (out / "certify-rows.csv").read_text().splitlines() == [
+            "eps,delta,C,method,residual"]
 
     def test_output_dir_is_created(self, tmp_path):
         sc = load_scenario(SCENARIOS / "norm_e3.json")

@@ -151,6 +151,7 @@ class TestModulus:
         assert exc.value.eps == 0.5
         assert exc.value.delta_floor == 1e-2
         assert exc.value.sup_at_floor > 0.5
+        assert exc.value.proved
 
 
 def gallery(d: int = 8) -> dict:
@@ -196,9 +197,11 @@ class TestModulusSearch:
         """Each returned delta read sup <= eps; a delta at most a factor
         1 + BISECT_REL_WIDTH above it read sup > eps (unless the constraint
         never binds); and the refinement took at most ITP's worst case, one
-        step more than bisecting the first bracket [bound/16, bound]."""
+        step more than bisecting the first bracket [bound/16, bound]. A
+        trial counts whether a search or a known point decided it."""
         evaluated = []
         real, real_group = optimize._restricted_sup, optimize._restricted_sups
+        real_known = optimize._known_sup
 
         def spy(*args, **kwargs):
             val, w = real(*args, **kwargs)
@@ -210,8 +213,15 @@ class TestModulusSearch:
             evaluated.extend((delta, val) for (delta, _), (val, _) in zip(trials, found))
             return found
 
+        def known_spy(hy, norm1, norm2, delta, pool):
+            val, u = real_known(hy, norm1, norm2, delta, pool)
+            if val > eps:  # decided here; any other trial is searched
+                evaluated.append((delta, val))
+            return val, u
+
         monkeypatch.setattr(optimize, "_restricted_sup", spy)
         monkeypatch.setattr(optimize, "_restricted_sups", group_spy)
+        monkeypatch.setattr(optimize, "_known_sup", known_spy)
         handles = gallery_handles(gallery()[kind])
         width = optimize.BISECT_REL_WIDTH
         worst = math.ceil(math.log2(math.log(16.0) / math.log1p(width))) + 1
@@ -225,6 +235,73 @@ class TestModulusSearch:
                 d <= delta * (1.0 + width) and s > eps for d, s in evaluated)
             first_ok = next(i for i, (_, s) in enumerate(evaluated) if s <= eps)
             assert len(evaluated) - first_ok - 1 <= worst
+
+    @pytest.mark.parametrize("kind", ["diagonal", "dense", "kernel"])
+    def test_known_points_agree_with_each_delta_when_it_is_taken(self, kind,
+                                                                  monkeypatch):
+        """Every point of a row's pool up to the one found at its returned
+        delta (its chain links and the points of its earlier trials) reads
+        at most eps there."""
+        found_at = {}  # delta -> the maximizer its search returned
+        real, real_group = optimize._restricted_sup, optimize._restricted_sups
+
+        def spy(hy, norm1, norm2, delta, *args, **kwargs):
+            val, w = real(hy, norm1, norm2, delta, *args, **kwargs)
+            found_at[delta] = w
+            return val, w
+
+        def group_spy(hy, norm1, norm2, trials, dim, opt):
+            found = real_group(hy, norm1, norm2, trials, dim, opt)
+            found_at.update((delta, w) for (delta, _), (_, w) in zip(trials, found))
+            return found
+
+        monkeypatch.setattr(optimize, "_restricted_sup", spy)
+        monkeypatch.setattr(optimize, "_restricted_sups", group_spy)
+        handles = gallery_handles(gallery()[kind])
+        grid = ehrling.DEFAULT_EPS_GRID
+        for eps, (delta, pool) in zip(grid, bisect_modulus(*handles, grid, 8, FAST)):
+            last = next(i for i, w in enumerate(pool) if w is found_at[delta])
+            f = optimize._restricted_problem(*handles, delta)[0]
+            assert f(np.vstack(pool[:last + 1])).max() <= eps
+
+    def test_a_trial_a_known_point_refutes_is_not_searched(self, monkeypatch):
+        """A trial that a known point decides makes no _restricted_sups or
+        _maximize_group call; the pool still records its point."""
+        decided, grouped, searched = [], [], []
+        real_problem, real_known = optimize._restricted_problem, optimize._known_sup
+        real_group, real_sups = optimize._maximize_group, optimize._restricted_sups
+
+        def problem_spy(hy, norm1, norm2, delta, warm=None, side="lo"):
+            f, fg, warm = real_problem(hy, norm1, norm2, delta, warm, side)
+            f.delta = delta
+            return f, fg, warm
+
+        def known_spy(hy, norm1, norm2, delta, pool):
+            val, u = real_known(hy, norm1, norm2, delta, pool)
+            if val > eps:
+                decided.append(delta)
+                assert any(np.array_equal(u, w) for w in pool)
+            return val, u
+
+        def group_spy(problems, dim, opt):
+            grouped.extend(getattr(f, "delta", None) for f, _, _ in problems)
+            return real_group(problems, dim, opt)
+
+        def sups_spy(hy, norm1, norm2, trials, dim, opt):
+            searched.extend(delta for delta, _ in trials)
+            return real_sups(hy, norm1, norm2, trials, dim, opt)
+
+        monkeypatch.setattr(optimize, "_restricted_problem", problem_spy)
+        monkeypatch.setattr(optimize, "_known_sup", known_spy)
+        monkeypatch.setattr(optimize, "_maximize_group", group_spy)
+        monkeypatch.setattr(optimize, "_restricted_sups", sups_spy)
+        handles = gallery_handles(gallery()["dense"])
+        for eps in ehrling.DEFAULT_EPS_GRID:
+            ((_, pool),) = bisect_modulus(*handles, (eps,), 8, FAST)
+        assert decided and searched
+        assert not set(decided) & set(searched)
+        assert not set(decided) & set(grouped)
+        assert set(searched) <= set(grouped)
 
     @pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
     def test_degenerate_sup_takes_the_log_midpoint(self, bad, monkeypatch):
@@ -266,8 +343,9 @@ class TestModulusSearch:
 
     def test_golden_certify_search_count(self, monkeypatch, tmp_path):
         # every search, lone or grouped, runs through _maximize_group: the
-        # bound, 3 chain links, 4 ITP rounds of the 4 binding rows and one
-        # hardening round of all 5 rows
+        # bound, 3 chain links, 2 ITP rounds of the 4 binding rows (known
+        # points decide each row's other trials) and one hardening round of
+        # all 5 rows
         groups = []
         real = optimize._maximize_group
 
@@ -278,8 +356,8 @@ class TestModulusSearch:
         monkeypatch.setattr(optimize, "_maximize_group", spy)
         monkeypatch.setattr(ehrling, "_maximize_group", spy)
         run(load_scenario(SCENARIOS / "certify_diag16.json"), output_dir=tmp_path)
-        assert sum(groups) == 25
-        assert len(groups) == 9
+        assert sum(groups) == 17
+        assert len(groups) == 7
 
 
 class TestGroupedSearch:
