@@ -297,7 +297,7 @@ class TestModulusSearch:
         monkeypatch.setattr(optimize, "_restricted_sups", sups_spy)
         handles = gallery_handles(gallery()["dense"])
         for eps in ehrling.DEFAULT_EPS_GRID:
-            ((_, pool),) = bisect_modulus(*handles, (eps,), 8, FAST)
+            bisect_modulus(*handles, (eps,), 8, FAST)
         assert decided and searched
         assert not set(decided) & set(searched)
         assert not set(decided) & set(grouped)
