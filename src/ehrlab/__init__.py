@@ -15,7 +15,6 @@ from .convergence import (
     basis_sequence,
     classify,
     counterexample_sequence,
-    custom_sequence,
     cutoff_index,
     default_dim,
     default_probes,
@@ -63,7 +62,6 @@ from .optimize import OptimizerSettings, SamplerSettings, ball_points, bisect_mo
 from .spaces import (
     DualFamily,
     Element,
-    Functional,
     dual_norm,
     enumerate_phi,
     family_from_json,
@@ -86,7 +84,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # spaces
-    "Element", "NormSpec", "Functional", "DualFamily",
+    "Element", "NormSpec", "DualFamily",
     "norm", "norm_batch", "dual_norm",
     "pair", "normalized_functional", "enumerate_phi",
     "normspec_from_json", "family_from_json",
@@ -108,7 +106,6 @@ __all__ = [
     "cutoff_index", "default_dim",
     "appendix_counterexample", "implication_suite", "basis_sequence",
     "strongly_convergent_sequence", "counterexample_sequence",
-    "custom_sequence",
     # errors
     "EhrlabError", "InvalidElementError", "DimensionMismatchError",
     "UnsupportedNormError", "EnumerationError", "ToleranceError",

@@ -1,12 +1,14 @@
 """Row blocks of large batches, shared between the caller and one worker thread.
 
-Large batches are cut into row blocks: ehrling._sample and
-veryweak.very_weak_norm_batch (through _blockwise) evaluate theirs in blocks
-of about _BLOCK_BYTES, so each block's chain of kernels stays in cache, and
-optimize.ball_points draws its sample in fixed chunks. _each_block shares a
-batch of more than _SERIAL_BLOCKS blocks with one worker thread that lives
-for that call. Each block writes only its own rows, so no value depends on
-which thread computed it.
+The block and worker policy, stated here once: ehrling._sample and
+veryweak.very_weak_norm_batch (through _blockwise) evaluate a batch in row
+blocks of about _BLOCK_BYTES (1 MiB), so each block's chain of kernels stays
+in cache, and optimize.ball_points draws its sample in chunks of
+optimize._DRAW_ROWS rows. _each_block runs at most _SERIAL_BLOCKS (8) blocks
+on the calling thread and shares a larger batch with one worker thread that
+lives for that call. Each block writes only its own rows, so every value
+equals the whole-array evaluation byte for byte, whatever the thread or the
+block size, and a batch needs memory for itself plus up to two blocks.
 """
 
 from __future__ import annotations

@@ -36,7 +36,6 @@ from .convergence import (
     basis_sequence,
     classify,
     counterexample_sequence,
-    custom_sequence,
     strongly_convergent_sequence,
 )
 from .ehrling import (
@@ -130,7 +129,7 @@ def _sequence(sc: dict, fam) -> SequenceGen:
         return counterexample_sequence(fam, horizon or 16)
     if rule == "custom":
         target = Element(cfg["target"]) if "target" in cfg else None
-        return custom_sequence([Element(row) for row in cfg["elements"]], target)
+        return SequenceGen(tuple(Element(row) for row in cfg["elements"]), target)
     raise ScenarioError(f"unknown sequence rule {rule!r}",
                         pointers=["/sequence/rule"])
 

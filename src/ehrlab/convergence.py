@@ -26,7 +26,6 @@ from .errors import DimensionMismatchError, EhrlabError, ToleranceError
 from .spaces import (
     DualFamily,
     Element,
-    Functional,
     enumerate_phi,
     norm,
     normalized_functional,
@@ -46,7 +45,6 @@ __all__ = [
     "basis_sequence",
     "strongly_convergent_sequence",
     "counterexample_sequence",
-    "custom_sequence",
 ]
 
 DIM_MARGIN = 4  # spare coordinates past N_n + n in the default dimension
@@ -100,10 +98,6 @@ def counterexample_sequence(fam: DualFamily, horizon: int = 16) -> SequenceGen:
     """u_n from the unbounded very-weak-null construction."""
     return SequenceGen(tuple(appendix_counterexample(fam, n)
                              for n in range(1, horizon + 1)))
-
-
-def custom_sequence(elements, target: Element | None = None) -> SequenceGen:
-    return SequenceGen(tuple(elements), target)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +156,7 @@ def appendix_counterexample(fam: DualFamily, n: int) -> Element:
 # probes and classification
 # ---------------------------------------------------------------------------
 
-def default_probes(fam: DualFamily, dim: int) -> list[Functional]:
+def default_probes(fam: DualFamily, dim: int) -> list[Element]:
     """Deterministic probe set: enumeration prefix plus damped random probes.
 
     The random probes draw Gaussian coefficients under a geometric envelope

@@ -57,14 +57,11 @@ from .optimize import (
     bisect_modulus,
     maximize_direction,
     norm_handle,
-    operator_handle,
     ratio_objective,
 )
 from .spaces import DualFamily, Element, NormSpec
 
 __all__ = [
-    "OptimizerSettings",
-    "SamplerSettings",
     "CertificateRow",
     "EhrlingCertificate",
     "Witness",
@@ -159,10 +156,6 @@ class OptimalConstantResult:
     witness: Element
     approximate: bool
 
-    def as_dict(self) -> dict:
-        return {"value": self.value, "approximate": self.approximate,
-                "witness": self.witness.coeffs.tolist()}
-
 
 # ---------------------------------------------------------------------------
 # shared plumbing
@@ -181,7 +174,7 @@ def _operator_dim(T: LinearOperator, opt: OptimizerSettings) -> int:
 
 
 def _handles(T: LinearOperator, norm1, norm2):
-    return norm_handle(norm1), norm_handle(norm2), operator_handle((T,), T.codomain)
+    return norm_handle(norm1), norm_handle(norm2), norm_handle(T.codomain, (T,))
 
 
 def _sample(hy: NormHandle, h1: NormHandle, h2: NormHandle, pts: np.ndarray):
@@ -190,11 +183,8 @@ def _sample(hy: NormHandle, h1: NormHandle, h2: NormHandle, pts: np.ndarray):
 
     None of them depends on (eps, C), so every verification of the same
     points reuses them (see _residuals) instead of re-evaluating them. They
-    are evaluated one row block of about 1 MiB at a time
-    (blocks._row_blocks) through blocks._each_block, which shares the
-    blocks of a sample over 8 blocks with one worker thread started for that
-    call. So memory is the points plus up to two blocks, and every value
-    equals the whole-array evaluation byte for byte.
+    are evaluated in row blocks through blocks._each_block, under the block
+    and worker policy that blocks states.
     """
     y, n1, lo, hi = (np.empty(pts.shape[0]) for _ in range(4))
 
@@ -435,8 +425,8 @@ def three_space_certificate(theta: LinearOperator, tau_op: LinearOperator,
     """
     dim = _operator_dim(theta, opt)
     h1 = norm_handle(theta.domain)
-    h2 = operator_handle((theta, tau_op), tau_op.codomain)
-    hy = operator_handle((theta,), theta.codomain)
+    h2 = norm_handle(tau_op.codomain, (theta, tau_op))
+    hy = norm_handle(theta.codomain, (theta,))
     rows = _certify_rows(hy, h1, h2, eps_grid, dim, opt, sampler)
     return EhrlingCertificate(
         rows=rows, operator_label=f"{theta.label} / {tau_op.label}",

@@ -29,11 +29,8 @@ the fixed term count ENCLOSURE_TERMS (fixed so both bounds stay exactly
 positively homogeneous).
 
 Verification samples are drawn by ball_points in chunks of _DRAW_ROWS rows,
-each chunk from its own seeded stream, and evaluated by ehrling._sample in
-row blocks of about 1 MiB. Both go through blocks._each_block, which shares
-the chunks or blocks of a large sample with one worker thread started for
-that call. Each chunk and block writes only its own rows, so every value is
-the same for any thread count and any block size.
+each chunk from its own seeded stream, so no point depends on the thread
+that draws it; blocks states which thread that is.
 """
 
 from __future__ import annotations
@@ -217,18 +214,15 @@ class _FamilyHandle(NormHandle):
         return hi, G
 
 
-def norm_handle(obj) -> NormHandle:
-    """Wrap a NormSpec or DualFamily for batched use."""
-    if isinstance(obj, DualFamily):
-        return _FamilyHandle(obj)
+def norm_handle(obj, ops=()) -> NormHandle:
+    """Wrap a NormSpec or DualFamily for batched use. A NormSpec Y may come
+    after the operators ops: u -> ||A_k ... A_1 u||_Y, applied first to last."""
     if isinstance(obj, NormSpec):
-        return _SpecHandle(obj)
-    raise ToleranceError(f"cannot build a norm handle from {type(obj).__name__}")
-
-
-def operator_handle(ops, ynorm) -> NormHandle:
-    """u -> ||A_k ... A_1 u||_Y for the operators ops, applied first to last."""
-    return _SpecHandle(ynorm, ops)
+        return _SpecHandle(obj, ops)
+    if isinstance(obj, DualFamily) and not ops:
+        return _FamilyHandle(obj)
+    raise ToleranceError(f"cannot build a norm handle from {type(obj).__name__}"
+                         + (" after operators" if ops else ""))
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +244,7 @@ def ball_points(sampler: SamplerSettings, dim: int, norm1: NormHandle) -> np.nda
     (V / norm1(V)) * r. So no point depends on the thread that draws its
     chunk, on the thread count or on the block size. The sample is held
     once, and the chunks are drawn and scaled in place through one
-    _each_block pass, which shares them with a worker thread of its own past
-    _SERIAL_BLOCKS chunks.
+    _each_block pass (see blocks for the worker policy).
     """
     n = sampler.n_samples
     out = np.empty((n + dim, dim))

@@ -4,7 +4,8 @@ Everything here lives on finite truncations span{e_1, ..., e_d} of a real
 sequence space. An element carries its coefficient vector against the
 canonical basis; operands of different lengths are reconciled by zero
 padding, which is exactly the canonical embedding of a truncation into any
-larger one.
+larger one. A functional is a coefficient vector too, so it is an Element,
+and pair is the dot product.
 
 Three strong norm kinds are supported:
 
@@ -46,7 +47,6 @@ from .errors import (
 __all__ = [
     "Element",
     "NormSpec",
-    "Functional",
     "DualFamily",
     "norm",
     "norm_batch",
@@ -191,6 +191,14 @@ def _lq_batch(U: np.ndarray, q: float) -> np.ndarray:
     return (A ** q).sum(axis=1) ** (1.0 / q)
 
 
+def _h1_diffs(U: np.ndarray) -> np.ndarray:
+    """Differences u_{i+1} - u_i, i = 0..d, of each row with u_0 = u_{d+1} = 0."""
+    n, d = U.shape
+    padded = np.zeros((n, d + 2))
+    padded[:, 1:-1] = U
+    return np.diff(padded, axis=1)
+
+
 def norm_batch(ns: NormSpec, U: np.ndarray) -> np.ndarray:
     """Norms of the rows of U under ns. U has shape (n, d)."""
     U = np.atleast_2d(np.asarray(U, dtype=np.float64))
@@ -206,10 +214,7 @@ def norm_batch(ns: NormSpec, U: np.ndarray) -> np.ndarray:
         return _lq_batch(U * w[:d], ns.p)
     if ns.kind == "sobolev-h1":
         h = ns.h
-        n, d = U.shape
-        padded = np.zeros((n, d + 2))
-        padded[:, 1:-1] = U
-        diffs = np.diff(padded, axis=1)
+        diffs = _h1_diffs(U)
         return np.sqrt(h * (U * U).sum(axis=1) + (diffs * diffs).sum(axis=1) / h)
     raise UnsupportedNormError(ns.kind)
 
@@ -242,10 +247,7 @@ def _norm_grad(ns: NormSpec, U: np.ndarray, N: np.ndarray) -> np.ndarray:
         return w * _lq_grad(U * w, N, ns.p)
     if ns.kind == "sobolev-h1":
         h = ns.h
-        n, d = U.shape
-        padded = np.zeros((n, d + 2))
-        padded[:, 1:-1] = U
-        diffs = np.diff(padded, axis=1)
+        diffs = _h1_diffs(U)
         safe = np.where(N > 0.0, N, 1.0)[:, None]
         return (h * U + (diffs[:, :-1] - diffs[:, 1:]) / h) / safe
     raise UnsupportedNormError(f"no closed-form gradient for norm kind {ns.kind!r}")
@@ -260,36 +262,16 @@ def norm(ns: NormSpec, u: Element) -> float:
 # functionals and pairing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class Functional:
-    """A continuous functional given by coefficients against the basis."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_vector(self.coeffs, "functional coefficients").copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "coeffs", arr)
-
-    @property
-    def dim(self) -> int:
-        return int(self.coeffs.size)
-
-    def padded(self, dim: int) -> np.ndarray:
-        out = np.zeros(dim)
-        out[: min(self.dim, dim)] = self.coeffs[: min(self.dim, dim)]
-        return out
-
-
-def pair(f: Functional, u: Element) -> float:
+def pair(f: Element, u: Element) -> float:
     """Duality pairing <f, u>: the dot product, zero-padding the shorter."""
     d = max(f.dim, u.dim)
     return float(np.dot(f.padded(d), u.padded(d)))
 
 
-def _dual_norm_vec(ns: NormSpec, vec: np.ndarray) -> float:
-    """Dual norm of a raw coefficient vector against ns."""
-    vec = np.asarray(vec, dtype=np.float64)
+def dual_norm(ns: NormSpec, f) -> float:
+    """Dual norm of f (an Element or a bare coefficient vector):
+    sup of <f, u> over the ns-unit ball."""
+    vec = f.coeffs if isinstance(f, Element) else _as_vector(f, "functional")
     if ns.kind == "lp":
         return float(_lq_batch(vec[None, :], _conjugate(ns.p))[0])
     if ns.kind == "weighted-lp":
@@ -310,13 +292,6 @@ def _dual_norm_vec(ns: NormSpec, vec: np.ndarray) -> float:
     raise UnsupportedNormError(
         f"dual norm is not defined for norm kind {ns.kind!r}"
     )
-
-
-def dual_norm(ns: NormSpec, f) -> float:
-    """Dual norm of f (a Functional or a bare coefficient vector):
-    sup of <f, u> over the ns-unit ball."""
-    vec = f.coeffs if isinstance(f, Functional) else _as_vector(f, "functional")
-    return _dual_norm_vec(ns, vec)
 
 
 def _riesz_solve(h: float, rhs: np.ndarray) -> np.ndarray:
@@ -340,12 +315,10 @@ def _riesz_inverse_diag(h: float, d: int) -> np.ndarray:
     return diag
 
 
-def normalized_functional(ns: NormSpec, coeffs) -> Functional:
+def normalized_functional(ns: NormSpec, coeffs) -> Element:
     """Build a functional rescaled into the dual unit ball: f / max(1, dual norm)."""
     vec = _as_vector(coeffs, "functional coefficients")
-    dn = _dual_norm_vec(ns, vec)
-    scale = 1.0 / max(1.0, dn)
-    return Functional(vec * scale)
+    return Element(vec * (1.0 / max(1.0, dual_norm(ns, vec))))
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +374,8 @@ class DualFamily:
     mode: str
     space: NormSpec
     dim: int | None = None
+    # members, series weights and prefix matrices, each built once
     _cache: dict = field(default_factory=dict, repr=False)
-    _arrays: dict = field(default_factory=dict, repr=False)  # shared read-only arrays
 
     def __post_init__(self):
         if self.mode not in ("coordinate", "dense-rational"):
@@ -417,7 +390,7 @@ class DualFamily:
 
     # -- enumeration -------------------------------------------------------
 
-    def functional(self, k: int) -> Functional:
+    def functional(self, k: int) -> Element:
         if k in self._cache:
             return self._cache[k]
         if self.mode == "coordinate":
@@ -432,7 +405,7 @@ class DualFamily:
         self._cache[k] = f
         return f
 
-    def _coordinate_functional(self, k: int) -> Functional:
+    def _coordinate_functional(self, k: int) -> Element:
         if k < 1:
             raise EnumerationError(f"enumeration index must be >= 1, got {k}")
         scale = self.coordinate_scales(k)[k - 1]
@@ -440,7 +413,7 @@ class DualFamily:
         # functional must carry its full dimension, not just k entries
         coeffs = np.zeros(self.dim if self.space.kind == "sobolev-h1" else k)
         coeffs[k - 1] = scale
-        return Functional(coeffs)
+        return Element(coeffs)
 
     def coordinate_scales(self, m: int) -> np.ndarray:
         """Normalization coefficients of the first m coordinate functionals."""
@@ -467,11 +440,11 @@ class DualFamily:
         Built once per m and then shared (read-only); a width the family
         cannot serve raises on every call, as coordinate_scales does.
         """
-        w = self._arrays.get(("weights", m))
+        w = self._cache.get(("weights", m))
         if w is None:
             w = self.coordinate_scales(m) * 2.0 ** (-np.arange(1, m + 1, dtype=np.float64))
             w.flags.writeable = False
-            self._arrays[("weights", m)] = w
+            self._cache[("weights", m)] = w
         return w
 
     def prefix_matrix(self, m: int, width: int) -> np.ndarray:
@@ -481,7 +454,7 @@ class DualFamily:
         refuses widths beyond its dim, where its members leave the dual unit
         ball, on every call.
         """
-        P = self._arrays.get(("prefix", m, width))
+        P = self._cache.get(("prefix", m, width))
         if P is None:
             if self.space.kind == "sobolev-h1" and width > self.dim:
                 raise EnumerationError(
@@ -492,11 +465,11 @@ class DualFamily:
                 row = self.functional(k).coeffs[:width]
                 P[k - 1, : row.size] = row
             P.flags.writeable = False
-            self._arrays[("prefix", m, width)] = P
+            self._cache[("prefix", m, width)] = P
         return P
 
 
-def enumerate_phi(fam: DualFamily, k: int) -> Functional:
+def enumerate_phi(fam: DualFamily, k: int) -> Element:
     """The k-th member of the family's enumeration (1-based, deterministic)."""
     return fam.functional(k)
 

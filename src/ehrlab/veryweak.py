@@ -7,9 +7,8 @@ of u. That single bound is what makes the value computable to any requested
 tolerance: evaluate M terms, attach the tail majorant, and report the pair
 as a two-sided enclosure.
 
-Large batches are evaluated in row blocks of about 1 MiB, shared with one
-worker thread past 8 blocks (see blocks); each block writes only its own
-rows, and every value equals the whole-array evaluation byte for byte.
+Large batches are evaluated in row blocks, under the block and worker
+policy that the blocks module states.
 """
 
 from __future__ import annotations
@@ -100,11 +99,9 @@ def very_weak_norm_batch(
     Either tau (per-row least-M rule, applied with the batch's largest strong
     norm) or an explicit term count may be given. Returns (lo, hi) arrays.
 
-    The rows are evaluated in row blocks of about 1 MiB (blocks._blockwise),
-    and a large batch is shared with one worker thread. A first pass takes
-    every strong norm, so the tau rule reads the largest of the whole batch;
-    a second takes the pairings. Every value equals the whole-array
-    evaluation byte for byte.
+    The rows are evaluated in row blocks (blocks._blockwise). A first pass
+    takes every strong norm, so the tau rule reads the largest of the whole
+    batch; a second takes the pairings.
     """
     U = np.atleast_2d(np.asarray(U, dtype=np.float64))
     d = U.shape[1]

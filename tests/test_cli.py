@@ -2,12 +2,14 @@
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from ehrlab import (
@@ -70,8 +72,9 @@ class TestValidation:
         assert "/family/dim" in exc.value.pointers
 
     def test_budget_rejects_unknown_keys(self):
-        # fd_step, the step of the former finite-difference ascent, is gone too
-        for key in ("warp", "fd_step"):
+        # fd_step, the step of the former finite-difference ascent, is gone
+        # too, and the search seed is the top-level seed alone
+        for key in ("warp", "fd_step", "seed"):
             doc = {"job": "norm", "element": [1.0],
                    "family": {"mode": "coordinate"}, "budget": {key: 9}}
             with pytest.raises(ScenarioError):
@@ -233,7 +236,11 @@ class TestExitCodes:
         ({"rule": "strongly-convergent", "elements": [[1.0]]},
          "/sequence: 'elements' is not one of"),
         ({"rule": "custom", "target": [1.0]}, "/sequence: 'elements' is a required property"),
-    ], ids=["appendix-target", "basis-rate", "strong-elements", "custom-no-elements"])
+        # dim only sizes the default zero target, so it cannot sit beside one
+        ({"rule": "strongly-convergent", "dim": 5, "target": [1.0, 2.0], "horizon": 4},
+         "{'required': ['dim', 'target']} (at /sequence)"),
+    ], ids=["appendix-target", "basis-rate", "strong-elements", "custom-no-elements",
+            "strong-dim-and-target"])
     def test_sequence_keys_the_rule_ignores_fail_by_pointer(self, tmp_path, capsys,
                                                             sequence, message):
         doc = {"job": "classify", "family": {"mode": "coordinate"}, "sequence": sequence}
@@ -469,6 +476,30 @@ class TestReports:
         assert (out / "certify-rows.csv").read_text().splitlines() == [
             "eps,delta,C,method,residual"]
 
+    def test_kernel_from_csv_certifies_as_its_inline_samples(self, tmp_path, monkeypatch):
+        x = np.linspace(0.0, 1.0, 6)
+        K = np.exp(-3.0 * np.abs(x[:, None] - x[None, :]))
+        work, scenarios = tmp_path / "work", tmp_path / "scenarios"
+        work.mkdir()
+        scenarios.mkdir()
+        np.savetxt(work / "kernel.csv", K, fmt="%.17g", delimiter=",")
+        inline = certify_doc(operator={"kind": "kernel", "samples": K.tolist(), "spacing": 0.2},
+                             eps_grid=[0.5, 0.125], sampler={"n_samples": 200},
+                             budget={"n_starts": 8, "iterations": 10, "polish_rounds": 4})
+        # a relative csv path resolves against the working directory, not
+        # against the scenario file's directory
+        from_csv = dict(inline, operator={"kind": "kernel", "csv": "kernel.csv",
+                                          "spacing": 0.2})
+        monkeypatch.chdir(work)
+        reports = []
+        for name, doc in (("inline", inline), ("csv", from_csv)):
+            p = scenarios / f"{name}.json"
+            p.write_text(json.dumps(doc), encoding="utf-8")
+            assert main(["run", str(p), "--output-dir", str(tmp_path / name)]) == 0
+            reports.append(json.loads((tmp_path / name / "certify-report.json").read_text()))
+        assert reports[0]["result"]["certificate"]["operator"] == "kernel[6x6, h=0.2]"
+        assert reports[1]["result"] == reports[0]["result"]
+
     def test_output_dir_is_created(self, tmp_path):
         sc = load_scenario(SCENARIOS / "norm_e3.json")
         nested = tmp_path / "deep" / "dir"
@@ -591,4 +622,20 @@ class TestEntryPoint:
             capture_output=True, text=True, cwd=REPO, env=env,
         )
         assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / "norm_e3-report.json").exists()
+        for name in ("norm_e3-report.json", "norm_e3-rows.csv"):
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+        proc = subprocess.run(
+            [sys.executable, "-m", "ehrlab", "run", str(tmp_path / "missing.json"),
+             "--output-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, cwd=REPO, env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("scenario error: cannot read scenario")
+        assert not (tmp_path / "out").exists()
+
+    def test_module_main_exits_with_the_cli_status(self, tmp_path, monkeypatch):
+        # the same entry point run in this process
+        monkeypatch.setattr(sys, "argv", ["ehrlab", "run", str(tmp_path / "missing.json")])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("ehrlab", run_name="__main__")
+        assert exc.value.code == 1

@@ -17,7 +17,6 @@ from ehrlab import (
     basis_sequence,
     classify,
     counterexample_sequence,
-    custom_sequence,
     cutoff_index,
     default_dim,
     default_probes,
@@ -90,13 +89,13 @@ class TestGenerators:
 
     def test_custom_roundtrip(self):
         els = [Element([1.0, 0.0]), Element([0.0, 2.0])]
-        g = custom_sequence(els)
+        g = SequenceGen(tuple(els))
         assert g.horizon == 2
         assert g.elements[1] is els[1]
 
     def test_custom_rejects_empty(self):
         with pytest.raises(ToleranceError):
-            custom_sequence([])
+            SequenceGen(())
 
     def test_horizon_validation(self):
         with pytest.raises(ToleranceError):
@@ -222,7 +221,7 @@ class TestClassify:
 
     def test_ambiguous_boundedness_is_flagged(self):
         els = [Element([5.0, 0.0]), Element([0.0, 2000.0])] * 2
-        rep = classify(custom_sequence(els), COORD, tol=1e-3)
+        rep = classify(SequenceGen(tuple(els)), COORD, tol=1e-3)
         assert rep.verdict == "unbounded"
         assert any("ambiguous" in f for f in rep.flags)
 
@@ -230,7 +229,7 @@ class TestClassify:
         bump = np.zeros(40)
         bump[39] = 5e-3
         els = [Element(bump)] * 6
-        rep = classify(custom_sequence(els), COORD, tol=1e-3)
+        rep = classify(SequenceGen(tuple(els)), COORD, tol=1e-3)
         assert rep.verdict == "weak-not-strong"
         assert any("guard band" in f for f in rep.flags)
 

@@ -46,7 +46,7 @@ from ehrlab import (
 from ehrlab import blocks, ehrling, optimize, spaces, veryweak
 from ehrlab.cli import load_scenario, run
 from ehrlab.errors import DimensionMismatchError
-from ehrlab.optimize import NormHandle, norm_handle, operator_handle
+from ehrlab.optimize import NormHandle, norm_handle
 
 L2 = NormSpec.lp(2)
 COORD3 = DualFamily(mode="coordinate", space=L2, dim=3)
@@ -109,7 +109,7 @@ def oracle_modulus(lam, eps: float, n: int = 400) -> float:
 
 def modulus(T, norm1, norm2, eps: float, opt: OptimizerSettings, dim: int) -> float:
     """bisect_modulus on the handles certify builds for a coordinate or strong norm2."""
-    ((delta, _),) = bisect_modulus(operator_handle((T,), T.codomain), norm_handle(norm1),
+    ((delta, _),) = bisect_modulus(norm_handle(T.codomain, (T,)), norm_handle(norm1),
                                    norm_handle(norm2), (eps,), dim, opt)
     return delta
 
@@ -638,6 +638,31 @@ class TestBlockedSample:
                        opt=FAST)
         assert cert.rows[0].residual <= 0.0
         assert threading.active_count() == before
+
+    def test_verify_at_d128_with_the_default_sampler_starts_one_worker(self, monkeypatch):
+        # 10,128 rows at d = 128 cut into 9 blocks of 1,024 rows, one more
+        # than _SERIAL_BLOCKS; the 3 draw chunks stay on the calling thread
+        T = make_diagonal(2.0 ** (-0.5 * np.arange(128)), L2, L2)
+        fam = DualFamily(mode="dense-rational", space=L2)
+        assert len(blocks._row_blocks(SamplerSettings().n_samples + 128, 128)) == 9
+        started, real = [], blocks.ThreadPoolExecutor
+
+        def spy(*args, **kwargs):
+            started.append(kwargs["max_workers"])
+            return real(*args, **kwargs)
+
+        def run():
+            rep = verify_certificate(T, L2, fam, 0.25, 1.0)
+            return json.dumps(rep.as_dict()).encode(), rep.worst.coeffs.tobytes()
+
+        monkeypatch.setattr(blocks, "ThreadPoolExecutor", spy)
+        before = threading.active_count()
+        threaded = run()
+        assert started == [1]
+        assert threading.active_count() == before
+        monkeypatch.setattr(blocks, "_SERIAL_BLOCKS", 1 << 62)
+        assert run() == threaded
+        assert started == [1]
 
     @pytest.mark.parametrize("where", ["sample", "ball_points"])
     def test_a_late_block_error_reaches_the_caller_after_every_block_ends(

@@ -35,7 +35,7 @@ from ehrlab import (
 )
 from ehrlab import ehrling, optimize
 from ehrlab.cli import load_scenario, run
-from ehrlab.optimize import norm_handle, operator_handle
+from ehrlab.optimize import norm_handle
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 L2 = NormSpec.lp(2)
@@ -162,7 +162,7 @@ def _operators(d: int):
 def test_operator_norm_gradients_through_the_adjoint(kind):
     T = _operators(8)[kind]
     assert T.repr_kind == kind
-    h = operator_handle((T,), T.codomain)
+    h = norm_handle(T.codomain, (T,))
     V = directions(7 if kind == "shift" else 8, seed=4)
     assert assert_gradient(h.hi, h.hi_grad, V, kind) == len(V)
 
@@ -170,7 +170,7 @@ def test_operator_norm_gradients_through_the_adjoint(kind):
 def test_composed_three_space_norm_gradient():
     theta = make_sobolev_embedding(8, 1.0 / 3.0)
     tau_op = make_diagonal(np.linspace(1.0, 0.2, 8), L2, NormSpec.weighted_lp(2, WEIGHTS))
-    h = operator_handle((theta, tau_op), tau_op.codomain)
+    h = norm_handle(tau_op.codomain, (theta, tau_op))
     V = directions(8, seed=5)
     assert assert_gradient(h.lo, h.lo_grad, V, "composed") == len(V)
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from ehrlab import (
     DualFamily,
     Element,
-    Functional,
     InvalidElementError,
     NormSpec,
     UnsupportedNormError,
@@ -224,18 +223,18 @@ class TestNormAxioms:
 
 class TestPairing:
     def test_biorthogonality(self):
-        f = Functional(np.array([1.0]))
+        f = Element(np.array([1.0]))
         assert pair(f, Element(np.eye(3)[0])) == 1.0
         assert pair(f, Element(np.eye(3)[1])) == 0.0
 
     def test_direct_dot(self):
-        f = Functional(np.array([0.5, 0.5]))
+        f = Element(np.array([0.5, 0.5]))
         assert pair(f, Element([1.0, 1.0])) == 1.0
 
     def test_zero_padding_both_ways(self):
-        f = Functional(np.array([1.0, 2.0, 3.0]))
+        f = Element(np.array([1.0, 2.0, 3.0]))
         assert pair(f, Element([1.0])) == 1.0
-        g = Functional(np.array([2.0]))
+        g = Element(np.array([2.0]))
         assert pair(g, Element([1.0, 5.0])) == 2.0
 
 
@@ -278,7 +277,7 @@ class TestDualNorm:
         fv[: len(f)] = f
         uv = np.zeros(width)
         uv[: len(u)] = u
-        lhs = abs(pair(Functional(fv), Element(uv)))
+        lhs = abs(pair(Element(fv), Element(uv)))
         rhs = dual_norm(ns, fv) * norm(ns, Element(uv))
         assert lhs <= rhs + 1e-10 + 1e-12 * rhs
 
@@ -286,7 +285,7 @@ class TestDualNorm:
         # taking u proportional to f turns Hoelder into equality
         f = np.array([1.0, -2.0, 2.0])
         u = Element(f / np.linalg.norm(f))
-        assert pair(Functional(f), u) == pytest.approx(
+        assert pair(Element(f), u) == pytest.approx(
             dual_norm(NormSpec.lp(2), f), rel=1e-14)
 
     def test_normalized_functional_lands_in_dual_ball(self):
